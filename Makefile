@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench benchpairs benchgate bench-profile examples serve-smoke load-smoke lint fmt ci
+.PHONY: build test race bench bench-smoke benchpairs benchgate bench-profile examples serve-smoke load-smoke lint fmt ci
 
 build:
 	$(GO) build ./...
@@ -20,18 +20,31 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
+# The end-to-end benchmark (bench/, a module of its own that the root
+# `go build ./...` and `go test ./...` never compile): vet it and run its
+# own tests — a smoke run of every workload with its correctness checks,
+# plus the pacer and calibration tests. It calls fusion.Build,
+# fusion.UpdateProblem and fusion.BuildOptions directly, so an internal
+# API change that breaks it fails here.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # The serial/parallel, full/incremental, flat/sharded,
-# sorted/unsorted-Apply and serving-layer benchmark pairs, at 1 and 4
-# cores — the
-# multi-core trajectory CI records per push (bench.txt). -benchmem
+# sorted/unsorted-Apply and serving-layer benchmark pairs plus the
+# problem-construction stages (Build, UpdateProblem), at 1 and 4 cores —
+# the multi-core trajectory CI records per push (bench.txt). -benchmem
 # records allocs/op, which the gate compares raw since allocation counts
 # are hardware-independent (whole-Run benches allocate their per-run
 # scratch, so the counts are small but nonzero; the per-round zero-alloc
 # property itself is asserted by internal/fusion/alloc_test.go).
 # pipefail keeps a failed/panicking bench run from hiding behind tee.
+# The committed baseline is the median of five separate passes
+# (benchdiff -parse records the median of repeated benchmarks):
+#   for i in 1 2 3 4 5; do make benchpairs >/dev/null && cat bench.txt; done > bench5.txt
+#   go run ./cmd/benchdiff -parse bench5.txt > testdata/bench_baseline.json
 benchpairs: SHELL := /bin/bash
 benchpairs:
-	set -o pipefail; $(GO) test -run='^$$' -bench='(Serial|Parallel|Incremental|SnapshotApply|Sharded|Serve|Store|Distributed|Kernel|Planned)' -cpu=1,4 -benchtime=3x -benchmem . ./internal/model ./internal/fusion | tee bench.txt
+	set -o pipefail; $(GO) test -run='^$$' -bench='(Serial|Parallel|Incremental|SnapshotApply|Sharded|Serve|Store|Distributed|Kernel|Planned|ProblemBuild|UpdateProblem)' -cpu=1,4 -benchtime=3x -benchmem . ./internal/model ./internal/fusion | tee bench.txt
 
 # Regression gate: hardware-normalised ns/op against the committed
 # baseline (see cmd/benchdiff). BENCH is the candidate JSON.
@@ -82,4 +95,4 @@ lint:
 fmt:
 	gofmt -w .
 
-ci: lint build race bench examples serve-smoke load-smoke
+ci: lint build race bench bench-smoke examples serve-smoke load-smoke

@@ -689,6 +689,38 @@ func BenchmarkPlannedAdvanceHighChurnForcedFull(b *testing.B) {
 		&Planner{Mode: PlannerForced, ForcePath: ModeFull})
 }
 
+// The UpdateProblem pair times problem maintenance alone — the stage of
+// an advance between Snapshot.Apply and the round loop — across day 0→1
+// from a cold problem with AccuPr's needs: HighChurn on the Stock stream,
+// where ~94% of the items reprice and the problem is re-laid into one
+// arena, LowChurn on the churn world, where ~3.5% are rebuilt and the
+// rest stay shared.
+func benchUpdateProblem(b *testing.B, ds *Dataset, snaps []*Snapshot, deltas []*Delta, fused []SourceID) {
+	b.Helper()
+	needs := fusion.AccuPr{}.Needs()
+	prev := fusion.Build(ds, snaps[0], fused, needs)
+	dirty := deltas[0].DirtyItems()
+	var rebuilt, items int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, rb := fusion.UpdateProblem(ds, snaps[1], prev, dirty, needs)
+		rebuilt, items = len(rb), len(p.Items)
+	}
+	b.StopTimer()
+	b.ReportMetric(100*float64(rebuilt)/float64(items), "dirty-%")
+}
+
+func BenchmarkUpdateProblemHighChurn(b *testing.B) {
+	ds, snaps, deltas, fused := plannedStockWorld(b)
+	benchUpdateProblem(b, ds, snaps, deltas, fused)
+}
+
+func BenchmarkUpdateProblemLowChurn(b *testing.B) {
+	ds, snaps, deltas := churnWorld(b)
+	benchUpdateProblem(b, ds, snaps, deltas, nil)
+}
+
 // Serving-layer benchmarks (the "millions of users" axis): handler
 // throughput on point queries against the served Stock world, and the
 // store's persist/load round trip. Both are in the benchpairs gate;

@@ -18,6 +18,10 @@
 // slow on a machine where the reference is also twice as slow is not a
 // regression. Absolute ns/op stay in the JSON for trajectory tracking.
 //
+// A benchmark repeated in the input (go test -count N, or several runs
+// concatenated) is recorded as the median of its runs, per unit, so a
+// baseline regenerated from five runs does not inherit one noisy run.
+//
 // allocs/op (from -benchmem) is parsed and gated too, but raw: allocation
 // counts do not depend on the machine. A benchmark recorded at zero
 // allocs/op fails on any growth; the rest fail on the same threshold
@@ -128,6 +132,8 @@ func parseBench(path string) (*Record, error) {
 		Goarch:     runtime.GOARCH,
 		Benchmarks: map[string]float64{},
 	}
+	// samples[name][unit] collects the values of every result line.
+	samples := map[string]map[string][]float64{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -141,7 +147,19 @@ func parseBench(path string) (*Record, error) {
 			continue
 		}
 		name := m[1]
+		if samples[name] == nil {
+			samples[name] = map[string][]float64{}
+		}
 		for unit, val := range parseMetrics(m[2]) {
+			samples[name][unit] = append(samples[name][unit], val)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	for name, units := range samples {
+		for unit, vals := range units {
+			val := median(vals)
 			switch unit {
 			case "ns/op":
 				rec.Benchmarks[name] = val
@@ -163,13 +181,22 @@ func parseBench(path string) (*Record, error) {
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
 	if len(rec.Benchmarks) == 0 {
 		return nil, fmt.Errorf("%s: no benchmark lines found", path)
 	}
 	return rec, nil
+}
+
+// median returns the middle value of xs (the mean of the two middle
+// values for an even count), leaving xs unordered.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // parseMetrics tokenizes the (value, unit) pairs trailing a benchmark

@@ -53,6 +53,37 @@ ok  	truthdiscovery	3.2s
 	}
 }
 
+// TestParseBenchMedian: a benchmark repeated with -count N is recorded
+// as the median of its runs, per unit.
+func TestParseBenchMedian(t *testing.T) {
+	const out = `BenchmarkA-4 10 300 ns/op 7 allocs/op 40 p50-ns
+BenchmarkA-4 10 100 ns/op 9 allocs/op 10 p50-ns
+BenchmarkA-4 10 900 ns/op 7 allocs/op 30 p50-ns
+BenchmarkB-4 10 100 ns/op
+BenchmarkB-4 10 200 ns/op
+`
+	path := filepath.Join(t.TempDir(), "bench.txt")
+	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := parseBench(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Benchmarks["BenchmarkA-4"]; got != 300 {
+		t.Errorf("odd-count ns/op = %v, want the median 300", got)
+	}
+	if got := rec.Benchmarks["BenchmarkB-4"]; got != 150 {
+		t.Errorf("even-count ns/op = %v, want the mean of the middle two, 150", got)
+	}
+	if got := rec.Allocs["BenchmarkA-4"]; got != 7 {
+		t.Errorf("allocs/op = %v, want 7", got)
+	}
+	if got := rec.Metrics["BenchmarkA-4"]["p50-ns"]; got != 30 {
+		t.Errorf("p50-ns = %v, want 30", got)
+	}
+}
+
 // rec builds a Record with the reference pinned at refNs so normalised
 // ratios are easy to reason about.
 func rec(refNs float64, bench map[string]float64, metrics map[string]map[string]float64) *Record {

@@ -6,13 +6,14 @@ import (
 	"unsafe"
 
 	"truthdiscovery/internal/model"
+	"truthdiscovery/internal/value"
 )
 
 // The flat-arena layout exists so the round loops are allocation-free
 // once warm: every buffer a round touches is allocated before the first
 // round and reused. These tests pin that property down with
 // testing.AllocsPerRun, and pin the arena layout itself with a
-// field-for-field comparison against the old jagged construction.
+// field-for-field comparison against a jagged per-item construction.
 
 // allocProblem builds a moderately sized problem on the simulated churn
 // world (all aux structures, so every method can run).
@@ -133,35 +134,86 @@ func TestVoteAllocationProfile(t *testing.T) {
 	}
 }
 
-// TestBuildArenaMatchesJagged: Build's arena-compacted problem must equal
-// a problem assembled item by item with fresh allocations (the old
-// layout) field for field, and its views must actually be contiguous in
-// one arena.
+// jaggedProblem assembles the problem Build must produce the old way:
+// item by item from value.Bucketize, with fresh allocations for every
+// bucket and source list and per-item aux structures.
+func jaggedProblem(ds *model.Dataset, snap *model.Snapshot, opts BuildOptions) *Problem {
+	p := &Problem{SourceIDs: DefaultRoster(ds), NumAttrs: len(ds.Attrs)}
+	for id := 0; id < snap.NumItems(); id++ {
+		claims := snap.ItemClaims(model.ItemID(id))
+		if len(claims) == 0 {
+			continue
+		}
+		vals := make([]value.Value, len(claims))
+		for i := range claims {
+			vals[i] = claims[i].Val
+		}
+		attr := ds.Items[id].Attr
+		it := ProblemItem{Item: model.ItemID(id), Attr: attr, Tol: ds.Tolerance(attr), Providers: len(claims)}
+		for _, b := range value.Bucketize(vals, it.Tol) {
+			srcs := make([]int32, len(b.Members))
+			for j, m := range b.Members {
+				srcs[j] = int32(claims[m].Source)
+			}
+			it.Buckets = append(it.Buckets, Bucket{Rep: b.Rep, Sources: srcs})
+		}
+		p.Items = append(p.Items, it)
+		if opts.NeedSimilarity {
+			n := len(it.Buckets)
+			sim := make([]float32, n*n)
+			fillSim(sim, &it)
+			p.Sim = append(p.Sim, sim)
+		}
+		if opts.NeedFormat {
+			p.Format = append(p.Format, formatFor(&it))
+		}
+	}
+	countClaims(p)
+	assignCats(p, ds)
+	indexBuckets(p)
+	return p
+}
+
+// assertContiguous asserts the arena layout: consecutive items' bucket
+// views sit back to back in one flat arena, and so do the per-bucket
+// source views and the similarity matrices — which no jagged or
+// partially maintained problem does.
+func assertContiguous(t *testing.T, ctx string, p *Problem) {
+	t.Helper()
+	for i := 0; i+1 < len(p.Items); i++ {
+		a, b := p.Items[i].Buckets, p.Items[i+1].Buckets
+		end := uintptr(unsafe.Pointer(&a[0])) + uintptr(len(a))*unsafe.Sizeof(a[0])
+		if uintptr(unsafe.Pointer(&b[0])) != end {
+			t.Fatalf("%s: bucket views of items %d and %d are not contiguous", ctx, i, i+1)
+		}
+	}
+	var prevEnd uintptr
+	for i := range p.Items {
+		for _, bk := range p.Items[i].Buckets {
+			start := uintptr(unsafe.Pointer(&bk.Sources[0]))
+			if prevEnd != 0 && start != prevEnd {
+				t.Fatalf("%s: source views are not contiguous in the int32 arena (item %d)", ctx, i)
+			}
+			prevEnd = start + uintptr(len(bk.Sources))*unsafe.Sizeof(bk.Sources[0])
+		}
+	}
+	for i := 0; i+1 < len(p.Sim); i++ {
+		a, b := p.Sim[i], p.Sim[i+1]
+		end := uintptr(unsafe.Pointer(&a[0])) + uintptr(len(a))*unsafe.Sizeof(a[0])
+		if uintptr(unsafe.Pointer(&b[0])) != end {
+			t.Fatalf("%s: similarity views of items %d and %d are not contiguous", ctx, i, i+1)
+		}
+	}
+}
+
+// TestBuildArenaMatchesJagged: Build's arena-laid problem must equal the
+// jagged, per-item assembly field for field, and its views must actually
+// be contiguous in one arena.
 func TestBuildArenaMatchesJagged(t *testing.T) {
 	ds, snaps := incWorld(t, 5, 1)
 	opts := BuildOptions{NeedSimilarity: true, NeedFormat: true}
 	got := Build(ds, snaps[0], nil, opts)
-
-	// The jagged reference: Build's exact body minus compact.
-	want := &Problem{NumAttrs: len(ds.Attrs)}
-	want.SourceIDs = got.SourceIDs
-	denseOf := make([]int32, len(ds.Sources))
-	for i := range denseOf {
-		denseOf[i] = -1
-	}
-	for i, s := range want.SourceIDs {
-		denseOf[s] = int32(i)
-	}
-	var scratch itemScratch
-	for id := 0; id < snaps[0].NumItems(); id++ {
-		if it, ok := bucketizeItem(ds, snaps[0], model.ItemID(id), denseOf, &scratch); ok {
-			want.Items = append(want.Items, it)
-		}
-	}
-	countClaims(want)
-	assignCats(want, ds)
-	buildAux(want, opts)
-	indexBuckets(want)
+	want := jaggedProblem(ds, snaps[0], opts)
 
 	sameProblem(t, "arena vs jagged", got, want)
 	if !reflect.DeepEqual(got.BucketOff, want.BucketOff) {
@@ -170,30 +222,7 @@ func TestBuildArenaMatchesJagged(t *testing.T) {
 	if got.maxBuckets != want.maxBuckets {
 		t.Fatalf("maxBuckets %d vs %d", got.maxBuckets, want.maxBuckets)
 	}
-
-	// Layout proof: consecutive items' bucket views sit back to back in
-	// one flat arena (ditto the per-bucket source views), which is what
-	// the jagged reference never does.
-	for i := 0; i+1 < len(got.Items); i++ {
-		a, b := got.Items[i].Buckets, got.Items[i+1].Buckets
-		end := uintptr(unsafe.Pointer(&a[0])) + uintptr(len(a))*unsafe.Sizeof(a[0])
-		if uintptr(unsafe.Pointer(&b[0])) != end {
-			t.Fatalf("bucket views of items %d and %d are not contiguous", i, i+1)
-		}
-	}
-	var prevEnd uintptr
-	for i := range got.Items {
-		for _, bk := range got.Items[i].Buckets {
-			if len(bk.Sources) == 0 {
-				continue
-			}
-			start := uintptr(unsafe.Pointer(&bk.Sources[0]))
-			if prevEnd != 0 && start != prevEnd {
-				t.Fatal("source views are not contiguous in the int32 arena")
-			}
-			prevEnd = start + uintptr(len(bk.Sources))*unsafe.Sizeof(bk.Sources[0])
-		}
-	}
+	assertContiguous(t, "Build", got)
 
 	// The vote space spans exactly the bucket count and row views line up
 	// with BucketOff.
@@ -205,5 +234,22 @@ func TestBuildArenaMatchesJagged(t *testing.T) {
 		if len(vs.row(i)) != len(got.Items[i].Buckets) {
 			t.Fatalf("vote row %d len %d, want %d", i, len(vs.row(i)), len(got.Items[i].Buckets))
 		}
+	}
+}
+
+// TestBuildAllocsIndependentOfItems pins Build's allocation count: with no
+// per-item allocation left, a world four times the items (same shape)
+// costs the same number of allocations.
+func TestBuildAllocsIndependentOfItems(t *testing.T) {
+	allocs := func(objects int) float64 {
+		ds, snaps := incWorldSized(t, 5, 1, objects)
+		return testing.AllocsPerRun(3, func() { Build(ds, snaps[0], nil, AccuPr{}.Needs()) })
+	}
+	small, large := allocs(120), allocs(480)
+	if large != small {
+		t.Errorf("Build allocated %.0f objects on 480 items and %.0f on 1920; want a count independent of the items", small, large)
+	}
+	if small > 100 {
+		t.Errorf("Build allocated %.0f objects, want at most 100", small)
 	}
 }

@@ -231,47 +231,73 @@ func runWithKnownGroups(p *Problem, opts Options) *Result {
 }
 
 // filterProblem removes all claims of the ignored sources, dropping items
-// and buckets that become empty. Aux structures are rebuilt.
+// and buckets that become empty and re-ranking each item's buckets by kept
+// providers (stable). Aux structures are rebuilt, and the filtered problem
+// is laid out in arenas like Build's.
 func filterProblem(p *Problem, ignore []bool) *Problem {
 	out := &Problem{
 		SourceIDs:       p.SourceIDs,
 		NumAttrs:        p.NumAttrs,
 		ClaimsPerSource: make([]int, len(p.SourceIDs)),
 	}
-	needSim := p.Sim != nil
-	needFmt := p.Format != nil
+	nSrc := 0
+	for s, c := range p.ClaimsPerSource {
+		if !ignore[s] {
+			nSrc += c
+		}
+	}
+	lay := newBucketArena(nSrc, p.NumBuckets())
+	kept := make([]int, p.maxBuckets)
+	order := make([]int, 0, p.maxBuckets)
 	for i := range p.Items {
 		it := &p.Items[i]
-		var buckets []Bucket
-		providers := 0
-		for _, bk := range it.Buckets {
-			var keep []int32
+		order = order[:0]
+		for b, bk := range it.Buckets {
+			kept[b] = 0
 			for _, s := range bk.Sources {
 				if !ignore[s] {
-					keep = append(keep, s)
+					kept[b]++
+				}
+			}
+			if kept[b] > 0 {
+				order = append(order, b)
+			}
+		}
+		if len(order) == 0 {
+			continue
+		}
+		// Rank before laying, so the source views follow bucket order.
+		sort.SliceStable(order, func(x, y int) bool { return kept[order[x]] > kept[order[y]] })
+		lo, first := len(lay.stage), len(lay.srcs)
+		for _, b := range order {
+			for _, s := range it.Buckets[b].Sources {
+				if !ignore[s] {
+					lay.srcs = append(lay.srcs, s)
 					out.ClaimsPerSource[s]++
 				}
 			}
-			if len(keep) > 0 {
-				buckets = append(buckets, Bucket{Rep: bk.Rep, Sources: keep})
-				providers += len(keep)
-			}
+			lay.push(it.Buckets[b].Rep)
 		}
-		if len(buckets) == 0 {
-			continue
-		}
-		sort.SliceStable(buckets, func(a, b int) bool {
-			return len(buckets[a].Sources) > len(buckets[b].Sources)
-		})
+		providers := len(lay.srcs) - first
 		out.Items = append(out.Items, ProblemItem{
 			Item: it.Item, Attr: it.Attr, Tol: it.Tol,
-			Buckets: buckets, Providers: providers,
+			Buckets: lay.stage[lo:len(lay.stage):len(lay.stage)], Providers: providers,
 		})
 	}
-	// Aux structures and the arena compaction: the filtered problem is a
-	// first-class Problem, so it gets the same flat layout as Build's.
-	buildAux(out, BuildOptions{NeedSimilarity: needSim, NeedFormat: needFmt, Parallelism: 1})
-	compact(out)
+	laid := make([]int, len(out.Items))
+	for i := range laid {
+		laid[i] = i
+	}
+	lay.finish(out.Items, laid)
+	opts := BuildOptions{NeedSimilarity: p.Sim != nil, NeedFormat: p.Format != nil, Parallelism: 1}
+	if opts.NeedSimilarity {
+		out.Sim = make([][]float32, len(out.Items))
+	}
+	if opts.NeedFormat {
+		out.Format = make([][]FormatPair, len(out.Items))
+	}
+	layAux(out, laid, laid, opts)
+	indexBuckets(out)
 	return out
 }
 

@@ -27,8 +27,9 @@ import (
 // Items[i].Buckets and Bucket.Sources as capacity-capped views into them,
 // so the iteration loops walk contiguous memory instead of a pointer
 // forest. The views are ordinary slices: incremental maintenance
-// (UpdateProblem) repoints dirty items at fresh small allocations while
-// clean items keep sharing the arena bit-for-bit.
+// (UpdateProblem) lays the dirty items into arenas of their own while
+// clean items keep sharing the previous arenas bit-for-bit, and re-lays
+// the whole problem into one arena once half of it has been rebuilt.
 type Problem struct {
 	// SourceIDs maps the problem's dense source index to dataset SourceIDs.
 	SourceIDs []model.SourceID
@@ -60,6 +61,10 @@ type Problem struct {
 	// Format[i] lists the format-subsumption pairs of item i (fine bucket
 	// supported by coarse bucket); nil unless built with NeedFormat.
 	Format [][]FormatPair
+
+	// sinceCompact counts the items UpdateProblem rebuilt since the problem
+	// was last laid out in one arena (by Build or a compaction).
+	sinceCompact int
 }
 
 // SimAt returns the value similarity between buckets a and b of item i.
@@ -126,6 +131,32 @@ func Build(ds *model.Dataset, snap *model.Snapshot, sources []model.SourceID, op
 	if sources == nil {
 		sources = DefaultRoster(ds)
 	}
+	refs := make([]itemRef, snap.NumItems())
+	for id := range refs {
+		refs[id] = itemRef{id: model.ItemID(id), prev: -1}
+	}
+	p, _ := assemble(ds, snap, sources, nil, refs, true, opts)
+	return p
+}
+
+// itemRef names one item of a problem under construction: the clean item
+// prev of the previous problem, or (prev < 0) item id bucketized afresh
+// from the snapshot.
+type itemRef struct {
+	id   model.ItemID
+	prev int32
+}
+
+// assemble is the one constructor behind Build and UpdateProblem. refs
+// lists the new problem's items in ItemID order. Every item it lays — each
+// bucketized item and, with compact set, every clean item too — goes
+// straight into exact-size arenas: one []Bucket, one []int32 of dense
+// source indices, one similarity arena and one format-pair arena. Clean
+// items outside the layout keep sharing prev's storage. A bucketized item
+// no participating source claims is dropped. The returned indices name the
+// bucketized items of the new problem.
+func assemble(ds *model.Dataset, snap *model.Snapshot, sources []model.SourceID,
+	prev *Problem, refs []itemRef, compact bool, opts BuildOptions) (*Problem, []int) {
 	denseOf := make([]int32, len(ds.Sources))
 	for i := range denseOf {
 		denseOf[i] = -1
@@ -134,22 +165,173 @@ func Build(ds *model.Dataset, snap *model.Snapshot, sources []model.SourceID, op
 		denseOf[s] = int32(i)
 	}
 
-	p := &Problem{
-		SourceIDs: sources,
-		NumAttrs:  len(ds.Attrs),
+	// Size the arenas and the item scratch. A bucketized item is expected
+	// to have as many buckets as the previous problem's average item (at
+	// least one): the staging then rarely has to grow.
+	perItem := 1
+	if prev != nil && len(prev.Items) > 0 {
+		perItem = (prev.NumBuckets() + len(prev.Items) - 1) / len(prev.Items)
 	}
-	var scratch itemScratch
-	for id := 0; id < snap.NumItems(); id++ {
-		if it, ok := bucketizeItem(ds, snap, model.ItemID(id), denseOf, &scratch); ok {
-			p.Items = append(p.Items, it)
+	nItems, nSrc, nBuckets, nFresh, maxClaims := 0, 0, 0, 0, 0
+	for _, r := range refs {
+		switch {
+		case r.prev >= 0:
+			nItems++
+			if compact {
+				it := &prev.Items[r.prev]
+				nSrc += it.Providers
+				nBuckets += len(it.Buckets)
+			}
+		default:
+			n := participating(snap, r.id, denseOf)
+			if n == 0 {
+				continue // dropped below
+			}
+			nItems++
+			nFresh++
+			nSrc += n
+			nBuckets += perItem
+			maxClaims = max(maxClaims, n)
 		}
 	}
+	lay := newBucketArena(nSrc, nBuckets)
+
+	p := &Problem{SourceIDs: sources, NumAttrs: len(ds.Attrs)}
+	p.Items = make([]ProblemItem, 0, nItems)
+	if opts.NeedSimilarity {
+		p.Sim = make([][]float32, 0, nItems)
+	}
+	if opts.NeedFormat {
+		p.Format = make([][]FormatPair, 0, nItems)
+	}
+	rebuilt := make([]int, 0, nFresh)
+
+	var k value.Bucketer
+	k.Grow(maxClaims)
+	vals := make([]value.Value, 0, maxClaims)
+	srcs := make([]int32, 0, maxClaims)
+	for _, r := range refs {
+		var it ProblemItem
+		lo := len(lay.stage)
+		if r.prev >= 0 {
+			it = prev.Items[r.prev]
+			if compact {
+				for _, bk := range it.Buckets {
+					lay.srcs = append(lay.srcs, bk.Sources...)
+					lay.push(bk.Rep)
+				}
+			}
+		} else {
+			vals, srcs = vals[:0], srcs[:0]
+			claims := snap.ItemClaims(r.id)
+			for i := range claims {
+				if d := denseOf[claims[i].Source]; d >= 0 {
+					vals = append(vals, claims[i].Val)
+					srcs = append(srcs, d)
+				}
+			}
+			if len(vals) == 0 {
+				continue // the item lost all claims
+			}
+			attr := ds.Items[r.id].Attr
+			it = ProblemItem{Item: r.id, Attr: attr, Tol: ds.Tolerance(attr), Providers: len(vals)}
+			nb := k.Bucketize(vals, it.Tol)
+			for b := 0; b < nb; b++ {
+				for _, m := range k.Members(b) {
+					lay.srcs = append(lay.srcs, srcs[m])
+				}
+				lay.push(k.Rep(b))
+			}
+			rebuilt = append(rebuilt, len(p.Items))
+		}
+		if r.prev < 0 || compact {
+			// A length-only view: finish repoints it into the exact arena.
+			it.Buckets = lay.stage[lo:len(lay.stage):len(lay.stage)]
+		}
+		p.Items = append(p.Items, it)
+		if opts.NeedSimilarity {
+			var sim []float32
+			if r.prev >= 0 {
+				sim = prev.Sim[r.prev]
+			}
+			p.Sim = append(p.Sim, sim)
+		}
+		if opts.NeedFormat {
+			var pairs []FormatPair
+			if r.prev >= 0 {
+				pairs = prev.Format[r.prev]
+			}
+			p.Format = append(p.Format, pairs)
+		}
+	}
+	laid := rebuilt
+	if compact && len(rebuilt) < len(p.Items) {
+		laid = make([]int, len(p.Items))
+		for i := range laid {
+			laid[i] = i
+		}
+	}
+	lay.finish(p.Items, laid)
+	layAux(p, laid, rebuilt, opts)
 	countClaims(p)
 	assignCats(p, ds)
+	indexBuckets(p)
+	return p, rebuilt
+}
 
-	buildAux(p, opts)
-	compact(p)
-	return p
+// participating counts the claims on item id by sources of the problem.
+func participating(snap *model.Snapshot, id model.ItemID, denseOf []int32) int {
+	claims := snap.ItemClaims(id)
+	n := 0
+	for i := range claims {
+		if denseOf[claims[i].Source] >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// bucketArena lays buckets and their dense source indices out
+// contiguously. The source arena is allocated at its exact final size up
+// front; buckets are staged until their count is known, then copied once
+// into an exact-size arena by finish.
+type bucketArena struct {
+	srcs  []int32
+	mark  int // start of the sources of the bucket being filled
+	stage []Bucket
+}
+
+// newBucketArena sizes the source arena exactly and the staging at an
+// estimate of the bucket count.
+func newBucketArena(nSrc, nBuckets int) *bucketArena {
+	return &bucketArena{srcs: make([]int32, 0, nSrc), stage: make([]Bucket, 0, max(nBuckets, 1))}
+}
+
+// push stages one bucket over the sources appended since the previous one.
+// A full staging doubles, so the number of regrowths depends on buckets
+// per item, not on the item count.
+func (a *bucketArena) push(rep value.Value) {
+	if len(a.stage) == cap(a.stage) {
+		grown := make([]Bucket, len(a.stage), 2*cap(a.stage))
+		copy(grown, a.stage)
+		a.stage = grown
+	}
+	a.stage = append(a.stage, Bucket{Rep: rep, Sources: a.srcs[a.mark:len(a.srcs):len(a.srcs)]})
+	a.mark = len(a.srcs)
+}
+
+// finish copies the staged buckets into their exact-size arena and
+// repoints the laid items (ascending indices, staged in that order) at
+// capacity-capped views of it.
+func (a *bucketArena) finish(items []ProblemItem, laid []int) {
+	buckets := make([]Bucket, len(a.stage))
+	copy(buckets, a.stage)
+	off := 0
+	for _, i := range laid {
+		nb := len(items[i].Buckets)
+		items[i].Buckets = buckets[off : off+nb : off+nb]
+		off += nb
+	}
 }
 
 // indexBuckets computes BucketOff and maxBuckets from the item list.
@@ -165,110 +347,6 @@ func indexBuckets(p *Problem) {
 			p.maxBuckets = nb
 		}
 	}
-}
-
-// compact re-lays the freshly built per-item structures into shared
-// arenas — one flat []Bucket, one flat []int32 of dense source indices,
-// one []float32 similarity arena and one []FormatPair arena — repointing
-// the per-item slices at capacity-capped views. Every arena is allocated
-// with its exact final size, so the append loops never reallocate and the
-// views stay valid. The result is field-for-field identical to the jagged
-// layout (asserted by the arena property test); only the backing memory
-// changes.
-func compact(p *Problem) {
-	indexBuckets(p)
-	nSrc := 0
-	for i := range p.Items {
-		nSrc += p.Items[i].Providers
-	}
-	buckets := make([]Bucket, 0, p.NumBuckets())
-	srcs := make([]int32, 0, nSrc)
-	for i := range p.Items {
-		it := &p.Items[i]
-		base := len(buckets)
-		for _, bk := range it.Buckets {
-			lo := len(srcs)
-			srcs = append(srcs, bk.Sources...)
-			buckets = append(buckets, Bucket{Rep: bk.Rep, Sources: srcs[lo:len(srcs):len(srcs)]})
-		}
-		it.Buckets = buckets[base:len(buckets):len(buckets)]
-	}
-	if p.Sim != nil {
-		total := 0
-		for i := range p.Sim {
-			total += len(p.Sim[i])
-		}
-		arena := make([]float32, 0, total)
-		for i := range p.Sim {
-			lo := len(arena)
-			arena = append(arena, p.Sim[i]...)
-			p.Sim[i] = arena[lo:len(arena):len(arena)]
-		}
-	}
-	if p.Format != nil {
-		total := 0
-		for i := range p.Format {
-			total += len(p.Format[i])
-		}
-		if total > 0 {
-			arena := make([]FormatPair, 0, total)
-			for i := range p.Format {
-				if len(p.Format[i]) == 0 {
-					continue // keep nil for pair-free items, as formatFor does
-				}
-				lo := len(arena)
-				arena = append(arena, p.Format[i]...)
-				p.Format[i] = arena[lo:len(arena):len(arena)]
-			}
-		}
-	}
-}
-
-// itemScratch holds the reusable per-item buffers of problem construction.
-type itemScratch struct {
-	vals []value.Value
-	srcs []int32
-}
-
-// bucketizeItem builds one item's bucketed view from the snapshot's claims,
-// restricted to the dense source mapping. ok is false when no participating
-// source claims the item. The result is a pure function of the item's
-// claims, the mapping and the item's current tolerance, which is what lets
-// incremental problem maintenance reuse unchanged items bit-for-bit.
-func bucketizeItem(ds *model.Dataset, snap *model.Snapshot, id model.ItemID, denseOf []int32, scratch *itemScratch) (ProblemItem, bool) {
-	claims := snap.ItemClaims(id)
-	vals := scratch.vals[:0]
-	srcs := scratch.srcs[:0]
-	for i := range claims {
-		d := denseOf[claims[i].Source]
-		if d < 0 {
-			continue
-		}
-		vals = append(vals, claims[i].Val)
-		srcs = append(srcs, d)
-	}
-	scratch.vals, scratch.srcs = vals, srcs
-	if len(vals) == 0 {
-		return ProblemItem{}, false
-	}
-	attr := ds.Items[id].Attr
-	tol := ds.Tolerance(attr)
-	raw := value.Bucketize(vals, tol)
-	buckets := make([]Bucket, len(raw))
-	for bi, b := range raw {
-		ss := make([]int32, len(b.Members))
-		for mi, m := range b.Members {
-			ss[mi] = srcs[m]
-		}
-		buckets[bi] = Bucket{Rep: b.Rep, Sources: ss}
-	}
-	return ProblemItem{
-		Item:      id,
-		Attr:      attr,
-		Tol:       tol,
-		Buckets:   buckets,
-		Providers: len(vals),
-	}, true
 }
 
 // countClaims derives ClaimsPerSource from the final item list (every claim
@@ -302,42 +380,70 @@ func assignCats(p *Problem, ds *model.Dataset) {
 	}
 }
 
-// buildAux fills the similarity and format structures. Each item's
-// matrices are independent, so the per-item loop fans out across the
-// configured workers with disjoint writes (parallel == serial exactly).
-func buildAux(p *Problem, opts BuildOptions) {
-	if opts.NeedSimilarity {
-		p.Sim = make([][]float32, len(p.Items))
-		parallel.For(len(p.Items), opts.Parallelism, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				p.Sim[i] = simFor(&p.Items[i])
-			}
-		})
+// layAux lays the similarity matrices and format pairs of the laid items
+// (ascending indices) into one exact-size arena each. Items in rebuilt (a
+// subset of laid) are computed afresh; the other laid items arrive with
+// their previous structures in p.Sim and p.Format, which are copied. Each
+// item's structures are independent, so the per-item computation fans out
+// across the configured workers with disjoint writes (parallel == serial
+// exactly).
+func layAux(p *Problem, laid, rebuilt []int, opts BuildOptions) {
+	if !opts.NeedSimilarity && !opts.NeedFormat {
+		return
 	}
-	if opts.NeedFormat {
-		p.Format = make([][]FormatPair, len(p.Items))
-		parallel.For(len(p.Items), opts.Parallelism, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
+	if opts.NeedSimilarity {
+		total := 0
+		for _, i := range laid {
+			n := len(p.Items[i].Buckets)
+			total += n * n
+		}
+		arena := make([]float32, total)
+		for _, i := range laid {
+			n := len(p.Items[i].Buckets)
+			view := arena[: n*n : n*n]
+			arena = arena[n*n:]
+			copy(view, p.Sim[i]) // rebuilt items arrive nil
+			p.Sim[i] = view
+		}
+	}
+	parallel.For(len(rebuilt), opts.Parallelism, func(lo, hi int) {
+		for _, i := range rebuilt[lo:hi] {
+			if opts.NeedSimilarity {
+				fillSim(p.Sim[i], &p.Items[i])
+			}
+			if opts.NeedFormat {
 				p.Format[i] = formatFor(&p.Items[i])
 			}
-		})
+		}
+	})
+	if opts.NeedFormat {
+		total := 0
+		for _, i := range laid {
+			total += len(p.Format[i])
+		}
+		arena := make([]FormatPair, 0, total)
+		for _, i := range laid {
+			if len(p.Format[i]) == 0 {
+				continue // keep nil for pair-free items, as formatFor does
+			}
+			lo := len(arena)
+			arena = append(arena, p.Format[i]...)
+			p.Format[i] = arena[lo:len(arena):len(arena)]
+		}
 	}
 }
 
-// simFor computes one item's bucket-similarity matrix, flattened
-// row-major (the layout SimAt indexes).
-func simFor(it *ProblemItem) []float32 {
+// fillSim writes one item's bucket-similarity matrix, flattened row-major
+// (the layout SimAt indexes), into a zeroed n*n view.
+func fillSim(sim []float32, it *ProblemItem) {
 	n := len(it.Buckets)
-	sim := make([]float32, n*n)
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
-			if a == b {
-				continue
+			if a != b {
+				sim[a*n+b] = float32(value.Similarity(it.Buckets[a].Rep, it.Buckets[b].Rep, it.Tol))
 			}
-			sim[a*n+b] = float32(value.Similarity(it.Buckets[a].Rep, it.Buckets[b].Rep, it.Tol))
 		}
 	}
-	return sim
 }
 
 // formatFor computes one item's format-subsumption pairs.

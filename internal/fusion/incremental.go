@@ -243,6 +243,11 @@ func alignItems(p, prev *Problem, rebuilt []int) []int {
 // tolerance changed since prev was built are treated as dirty too. The
 // result is bit-identical to Build(ds, snap, prev.SourceIDs, opts); the
 // returned index list names the rebuilt entries of the new problem.
+//
+// The rebuilt items get arenas of their own while clean items keep
+// sharing prev's. Once the items rebuilt since the last compaction reach
+// half the problem, the whole problem is laid out afresh in one arena
+// instead, so the copy costs at most twice the rebuild work done since.
 func UpdateProblem(ds *model.Dataset, snap *model.Snapshot, prev *Problem, dirty []model.ItemID, opts BuildOptions) (*Problem, []int) {
 	// Without the aux structures the reuse has nothing to save over Build;
 	// also the safe path when prev was built with lighter needs.
@@ -255,94 +260,39 @@ func UpdateProblem(ds *model.Dataset, snap *model.Snapshot, prev *Problem, dirty
 		return p, all
 	}
 
-	denseOf := make([]int32, len(ds.Sources))
-	for i := range denseOf {
-		denseOf[i] = -1
+	refs := make([]itemRef, 0, len(prev.Items)+len(dirty))
+	nFresh := 0
+	fresh := func(id model.ItemID) {
+		refs = append(refs, itemRef{id: id, prev: -1})
+		nFresh++
 	}
-	for i, s := range prev.SourceIDs {
-		denseOf[s] = int32(i)
-	}
-
-	p := &Problem{
-		SourceIDs: prev.SourceIDs,
-		NumAttrs:  len(ds.Attrs),
-	}
-	if opts.NeedSimilarity {
-		p.Sim = make([][]float32, 0, len(prev.Items))
-	}
-	if opts.NeedFormat {
-		p.Format = make([][]FormatPair, 0, len(prev.Items))
-	}
-	var rebuilt []int
-	var scratch itemScratch
-
-	appendDirty := func(id model.ItemID) {
-		it, ok := bucketizeItem(ds, snap, id, denseOf, &scratch)
-		if !ok {
-			return // the item lost all claims
-		}
-		p.Items = append(p.Items, it)
-		rebuilt = append(rebuilt, len(p.Items)-1)
-		if opts.NeedSimilarity {
-			p.Sim = append(p.Sim, nil) // filled below
-		}
-		if opts.NeedFormat {
-			p.Format = append(p.Format, nil)
-		}
-	}
-	appendClean := func(pi int) {
-		p.Items = append(p.Items, prev.Items[pi])
-		if opts.NeedSimilarity {
-			p.Sim = append(p.Sim, prev.Sim[pi])
-		}
-		if opts.NeedFormat {
-			p.Format = append(p.Format, prev.Format[pi])
-		}
-	}
-
 	di := 0
 	for pi := range prev.Items {
 		id := prev.Items[pi].Item
 		for di < len(dirty) && dirty[di] < id {
-			appendDirty(dirty[di]) // item new to the problem
+			fresh(dirty[di]) // item new to the problem
 			di++
 		}
-		if di < len(dirty) && dirty[di] == id {
-			appendDirty(id)
+		switch {
+		case di < len(dirty) && dirty[di] == id:
+			fresh(id)
 			di++
-			continue
+		case prev.Items[pi].Tol != ds.Tolerance(prev.Items[pi].Attr):
+			fresh(id) // tolerance regime moved under the item
+		default:
+			refs = append(refs, itemRef{id: id, prev: int32(pi)})
 		}
-		if prev.Items[pi].Tol != ds.Tolerance(prev.Items[pi].Attr) {
-			appendDirty(id) // tolerance regime moved under the item
-			continue
-		}
-		appendClean(pi)
 	}
 	for ; di < len(dirty); di++ {
-		appendDirty(dirty[di])
+		fresh(dirty[di])
 	}
 
-	// Aux structures for the rebuilt items only; each is a pure per-item
-	// computation, so the fan-out is bit-identical at any parallelism.
-	parallel.For(len(rebuilt), opts.Parallelism, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			i := rebuilt[k]
-			if opts.NeedSimilarity {
-				p.Sim[i] = simFor(&p.Items[i])
-			}
-			if opts.NeedFormat {
-				p.Format[i] = formatFor(&p.Items[i])
-			}
-		}
-	})
-
-	countClaims(p)
-	assignCats(p, ds)
-	// No arena compaction here: clean items keep sharing the previous
-	// problem's arenas (or their own earlier small allocations) bit-for-
-	// bit, which is the whole point of incremental maintenance. Only the
-	// flat-vector index is refreshed for the new item list.
-	indexBuckets(p)
+	since := prev.sinceCompact + nFresh
+	compact := 2*since >= len(refs)
+	p, rebuilt := assemble(ds, snap, prev.SourceIDs, prev, refs, compact, opts)
+	if !compact {
+		p.sinceCompact = prev.sinceCompact + len(rebuilt)
+	}
 	return p, rebuilt
 }
 

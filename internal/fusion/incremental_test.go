@@ -17,9 +17,15 @@ import (
 // format structures are exercised.
 func incWorld(t *testing.T, seed int64, days int) (*model.Dataset, []*model.Snapshot) {
 	t.Helper()
+	return incWorldSized(t, seed, days, 120)
+}
+
+// incWorldSized is incWorld over numObjects objects (four items each).
+func incWorldSized(t *testing.T, seed int64, days, numObjects int) (*model.Dataset, []*model.Snapshot) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ds := model.NewDataset("stream")
-	const numAttrs, numSources, numObjects = 4, 25, 120
+	const numAttrs, numSources = 4, 25
 	var attrs []model.AttrID
 	for a := 0; a < numAttrs; a++ {
 		attrs = append(attrs, ds.AddAttr(model.Attribute{
@@ -159,12 +165,16 @@ func sameRun(t *testing.T, ctx string, a, b *Result) {
 	}
 }
 
-// TestUpdateProblemMatchesBuild drives UpdateProblem across a delta chain
-// and asserts bitwise equality with a from-scratch Build at every step.
+// TestUpdateProblemMatchesBuild drives UpdateProblem across a 40-delta
+// chain and asserts bitwise equality with a from-scratch Build at every
+// step. The chain is long enough for the compaction rule to fire several
+// times and to be skipped in between; every compacted problem must be
+// laid out in one arena again.
 func TestUpdateProblemMatchesBuild(t *testing.T) {
-	ds, snaps := incWorld(t, 7, 5)
+	ds, snaps := incWorld(t, 7, 41)
 	opts := BuildOptions{NeedSimilarity: true, NeedFormat: true}
 	prev := Build(ds, snaps[0], nil, opts)
+	compactions, skips := 0, 0
 	for d := 1; d < len(snaps); d++ {
 		delta, err := snaps[d-1].Diff(snaps[d])
 		if err != nil {
@@ -175,12 +185,29 @@ func TestUpdateProblemMatchesBuild(t *testing.T) {
 		}
 		got, rebuilt := UpdateProblem(ds, snaps[d], prev, delta.DirtyItems(), opts)
 		want := Build(ds, snaps[d], nil, opts)
-		sameProblem(t, fmt.Sprintf("day %d", d), got, want)
+		ctx := fmt.Sprintf("day %d", d)
+		sameProblem(t, ctx, got, want)
 		if len(rebuilt) == 0 || len(rebuilt) >= len(got.Items) {
 			t.Fatalf("day %d: rebuilt %d of %d items — churn should dirty a strict subset",
 				d, len(rebuilt), len(got.Items))
 		}
+		since := prev.sinceCompact + len(rebuilt)
+		switch {
+		case got.sinceCompact == 0:
+			if 2*since < len(got.Items) {
+				t.Fatalf("day %d: compacted after %d of %d items rebuilt, under half", d, since, len(got.Items))
+			}
+			assertContiguous(t, ctx, got)
+			compactions++
+		case got.sinceCompact != since:
+			t.Fatalf("day %d: %d items rebuilt since the last compaction, want %d", d, got.sinceCompact, since)
+		default:
+			skips++
+		}
 		prev = got
+	}
+	if compactions < 3 || skips < compactions {
+		t.Fatalf("%d compactions and %d skips over the chain; want several of each", compactions, skips)
 	}
 }
 

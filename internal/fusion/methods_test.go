@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"truthdiscovery/internal/model"
@@ -242,6 +243,57 @@ func TestFilterProblem(t *testing.T) {
 	if got := filterProblem(p, all); len(got.Items) != 0 {
 		t.Errorf("fully filtered problem has %d items", len(got.Items))
 	}
+}
+
+// TestFilterProblemLayout: when filtering re-ranks an item's buckets, the
+// filtered problem must still equal the per-item reference and lay its
+// bucket, source and similarity views contiguously in bucket order.
+func TestFilterProblemLayout(t *testing.T) {
+	ds, snaps := incWorld(t, 5, 1)
+	p := Build(ds, snaps[0], nil, BuildOptions{NeedSimilarity: true, NeedFormat: true})
+	ignore := make([]bool, len(p.SourceIDs))
+	for s := range ignore {
+		ignore[s] = s%3 == 0
+	}
+	got := filterProblem(p, ignore)
+
+	want := &Problem{Format: [][]FormatPair{}, ClaimsPerSource: make([]int, len(p.SourceIDs))}
+	reranked := 0
+	for i := range p.Items {
+		it := ProblemItem{Item: p.Items[i].Item, Attr: p.Items[i].Attr, Tol: p.Items[i].Tol}
+		for _, bk := range p.Items[i].Buckets {
+			var keep []int32
+			for _, s := range bk.Sources {
+				if !ignore[s] {
+					keep = append(keep, s)
+					want.ClaimsPerSource[s]++
+				}
+			}
+			if len(keep) > 0 {
+				it.Buckets = append(it.Buckets, Bucket{Rep: bk.Rep, Sources: keep})
+				it.Providers += len(keep)
+			}
+		}
+		if len(it.Buckets) == 0 {
+			continue
+		}
+		byKept := func(a, b int) bool { return len(it.Buckets[a].Sources) > len(it.Buckets[b].Sources) }
+		if !sort.SliceIsSorted(it.Buckets, byKept) {
+			reranked++
+		}
+		sort.SliceStable(it.Buckets, byKept)
+		n := len(it.Buckets)
+		sim := make([]float32, n*n)
+		fillSim(sim, &it)
+		want.Items = append(want.Items, it)
+		want.Sim = append(want.Sim, sim)
+		want.Format = append(want.Format, formatFor(&it))
+	}
+	if reranked == 0 {
+		t.Fatal("no item re-ranked its buckets: the test exercises nothing")
+	}
+	sameProblem(t, "filtered vs reference", got, want)
+	assertContiguous(t, "filterProblem", got)
 }
 
 func indexOfSource(p *Problem, s model.SourceID) int {

@@ -185,6 +185,39 @@ func TestIngestValidation(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsNonFinite: "NaN" and the infinities parse as floats
+// but are no quantity, so ingest refuses them with 400 bad_value and
+// leaves the pending set as it was; the flush that follows publishes the
+// valid claim (a NaN that reached the engine used to panic the flush).
+func TestIngestRejectsNonFinite(t *testing.T) {
+	_, ing, srv, ts := armIngest(t, "AccuPr", IngestConfig{MaxBatch: 1 << 20})
+	resp := postClaims(t, ts, `{"claims":[{"source":"src0","object":"obj00","attribute":"price","value":"99.5"}]}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("valid claim: status %d, want 202", resp.StatusCode)
+	}
+	for _, raw := range []string{"NaN", "Inf", "-inf"} {
+		resp := postClaims(t, ts, fmt.Sprintf(
+			`{"claims":[{"source":"src1","object":"obj00","attribute":"price","value":%q}]}`, raw))
+		var env envelope
+		decodeBody(t, resp, &env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_value" {
+			t.Fatalf("value %q: status %d code %q, want 400 bad_value", raw, resp.StatusCode, env.Error.Code)
+		}
+		if got := ing.Stats()["pending"].(int); got != 1 {
+			t.Fatalf("value %q: pending %d, want the 1 valid claim", raw, got)
+		}
+	}
+	v := srv.View().Version
+	if err := ing.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if srv.View().Version == v {
+		t.Fatal("flush of the valid claim published no new version")
+	}
+}
+
 // TestIngestBackpressure: a batch that would push the pending set past
 // MaxPending is refused whole with 429 + Retry-After, leaving the
 // pending set exactly as it was.

@@ -1,7 +1,11 @@
 package value
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -171,4 +175,334 @@ func TestBucketizeProperties(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// refBucketize is the map-based kernel Bucketize used to be, kept as the
+// reference the sort-based kernel must match exactly: bucket order, member
+// order and representative bits. It panics on a NaN number.
+func refBucketize(values []Value, tol float64) []Bucket {
+	if len(values) == 0 {
+		return nil
+	}
+	if values[0].Kind == Text || tol <= 0 {
+		return refBucketizeExact(values)
+	}
+
+	// Pass 1: find v0, the single most frequent exact value.
+	type group struct {
+		first int
+		count int
+	}
+	exact := make(map[float64]*group)
+	order := make([]float64, 0, len(values))
+	for i, v := range values {
+		g := exact[v.Num]
+		if g == nil {
+			g = &group{first: i}
+			exact[v.Num] = g
+			order = append(order, v.Num)
+		}
+		g.count++
+	}
+	v0 := order[0]
+	best := exact[v0]
+	for _, x := range order {
+		g := exact[x]
+		if g.count > best.count || (g.count == best.count && g.first < best.first) {
+			v0, best = x, g
+		}
+	}
+
+	// Pass 2: assign every value to the bucket index round((x-v0)/tau).
+	byKey := make(map[int64]*Bucket)
+	var keys []int64
+	for i, v := range values {
+		k := int64(math.Round((v.Num - v0) / tol))
+		b := byKey[k]
+		if b == nil {
+			b = &Bucket{}
+			byKey[k] = b
+			keys = append(keys, k)
+		}
+		b.Members = append(b.Members, i)
+	}
+
+	buckets := make([]Bucket, 0, len(keys))
+	for _, k := range keys {
+		b := byKey[k]
+		b.Rep = refRepresentative(values, b.Members)
+		buckets = append(buckets, *b)
+	}
+	refSortBuckets(buckets)
+	return buckets
+}
+
+func refBucketizeExact(values []Value) []Bucket {
+	type keyed struct {
+		kind Kind
+		num  float64
+		text string
+	}
+	byKey := make(map[keyed]*Bucket)
+	var orderKeys []keyed
+	for i, v := range values {
+		k := keyed{v.Kind, v.Num, v.Text}
+		b := byKey[k]
+		if b == nil {
+			b = &Bucket{Rep: v}
+			byKey[k] = b
+			orderKeys = append(orderKeys, k)
+		}
+		b.Members = append(b.Members, i)
+	}
+	buckets := make([]Bucket, 0, len(orderKeys))
+	for _, k := range orderKeys {
+		buckets = append(buckets, *byKey[k])
+	}
+	refSortBuckets(buckets)
+	return buckets
+}
+
+// refRepresentative picks the most frequent exact value among the bucket
+// members, breaking ties toward the earliest member, and keeps the finest
+// granularity observed for it.
+func refRepresentative(values []Value, members []int) Value {
+	type tally struct {
+		first int
+		count int
+		val   Value
+	}
+	byNum := make(map[float64]*tally)
+	var order []float64
+	for _, i := range members {
+		v := values[i]
+		t := byNum[v.Num]
+		if t == nil {
+			t = &tally{first: i, val: v}
+			byNum[v.Num] = t
+			order = append(order, v.Num)
+		}
+		t.count++
+		if v.Gran < t.val.Gran {
+			t.val.Gran = v.Gran
+		}
+	}
+	bestKey := order[0]
+	for _, k := range order {
+		t := byNum[k]
+		b := byNum[bestKey]
+		if t.count > b.count || (t.count == b.count && t.first < b.first) {
+			bestKey = k
+		}
+	}
+	return byNum[bestKey].val
+}
+
+func refSortBuckets(buckets []Bucket) {
+	sort.SliceStable(buckets, func(i, j int) bool {
+		if len(buckets[i].Members) != len(buckets[j].Members) {
+			return len(buckets[i].Members) > len(buckets[j].Members)
+		}
+		return buckets[i].Members[0] < buckets[j].Members[0]
+	})
+}
+
+// refPanics reports whether the reference cannot bucketize values: a NaN
+// number is a map key that never finds its own entry.
+func refPanics(values []Value) bool {
+	for _, v := range values {
+		if math.IsNaN(v.Num) {
+			return true
+		}
+	}
+	return false
+}
+
+// sameBucketing compares two bucketings exactly: bucket order, member
+// order, and every representative field bit for bit (the sign of zero
+// included).
+func sameBucketing(got, want []Bucket) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d buckets, want %d", len(got), len(want))
+	}
+	for b := range got {
+		g, w := got[b].Rep, want[b].Rep
+		if g.Kind != w.Kind || g.Text != w.Text ||
+			math.Float64bits(g.Num) != math.Float64bits(w.Num) ||
+			math.Float64bits(g.Gran) != math.Float64bits(w.Gran) {
+			return fmt.Sprintf("bucket %d rep %#v, want %#v", b, g, w)
+		}
+		if !slices.Equal(got[b].Members, want[b].Members) {
+			return fmt.Sprintf("bucket %d members %v, want %v", b, got[b].Members, want[b].Members)
+		}
+	}
+	return ""
+}
+
+// checkAgainstReference bucketizes values with the package function and
+// with the reused kernel k, and compares both with the reference.
+func checkAgainstReference(t *testing.T, k *Bucketer, values []Value, tol float64) {
+	t.Helper()
+	got := Bucketize(values, tol)
+	nb := k.Bucketize(values, tol)
+	reused := make([]Bucket, nb)
+	for b := range reused {
+		reused[b].Rep = k.Rep(b)
+		for _, m := range k.Members(b) {
+			reused[b].Members = append(reused[b].Members, int(m))
+		}
+	}
+	if diff := sameBucketing(reused, got); diff != "" {
+		t.Fatalf("reused kernel differs from a fresh one on %v tol %v: %s", values, tol, diff)
+	}
+	if refPanics(values) {
+		return
+	}
+	if diff := sameBucketing(got, refBucketize(values, tol)); diff != "" {
+		t.Fatalf("Bucketize(%v, %v): %s", values, tol, diff)
+	}
+}
+
+// decodeValues turns fuzz bytes into a tolerance and values drawn from
+// small pools, so that exact ties, both zeros, granularity mixes, text,
+// non-finite numbers and degenerate tolerances all occur often.
+func decodeValues(data []byte) ([]Value, float64) {
+	if len(data) == 0 {
+		return nil, 0
+	}
+	tols := []float64{0, -1, 0.5, 1, 3, 1e-300, math.NaN(), 1e300}
+	tol := tols[int(data[0])%len(tols)]
+	grans := []float64{0, 0.01, 1, 10, math.NaN()}
+	texts := []string{"A", "B", "A B", ""}
+	var vals []Value
+	for data = data[1:]; len(data) >= 3; data = data[3:] {
+		a, g, c := data[0], data[1], data[2]
+		var x float64
+		switch a % 16 {
+		case 12:
+			x = math.Inf(1)
+		case 13:
+			x = math.Inf(-1)
+		case 14:
+			x = 1e308
+		case 15:
+			x = math.NaN()
+		default:
+			x = float64(a%16) * 0.75
+		}
+		if c&1 == 1 {
+			x = -x
+		}
+		v := Value{Kind: Number, Num: x, Gran: grans[int(g)%len(grans)]}
+		switch (c >> 1) % 4 {
+		case 2:
+			v.Kind = Time
+		case 3:
+			v.Kind, v.Text = Text, texts[int(c>>3)%len(texts)]
+		}
+		vals = append(vals, v)
+	}
+	return vals, tol
+}
+
+// TestBucketizeMatchesReference compares the kernel with the map-based
+// reference on random items, reusing one Bucketer across all of them.
+func TestBucketizeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var k Bucketer
+	cases := 20000
+	if testing.Short() {
+		cases = 2000
+	}
+	for c := 0; c < cases; c++ {
+		data := make([]byte, 1+3*rng.Intn(70))
+		rng.Read(data)
+		if c%2 == 0 {
+			// Half the cases stay finite and numeric with a usable
+			// tolerance: the common shape of a real item.
+			data[0] = byte(2 + rng.Intn(3))
+			for j := 1; j < len(data); j += 3 {
+				data[j] %= 12
+				data[j+2] &^= 6
+			}
+		}
+		vals, tol := decodeValues(data)
+		checkAgainstReference(t, &k, vals, tol)
+	}
+}
+
+// TestBucketizeEdgeCases pins the rules the reference defines by example.
+func TestBucketizeEdgeCases(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name string
+		vals []Value
+		tol  float64
+	}{
+		{"first zero negative", []Value{Num(negZero), Num(0), Num(0.1)}, 1},
+		{"first zero positive", []Value{Num(0), Num(negZero), Num(negZero)}, 1},
+		{"exact zeros", []Value{Num(negZero), Num(0)}, 0},
+		{"count tie to first index", []Value{Num(5), Num(9), Num(9), Num(5)}, 1},
+		{"rep tie inside bucket", []Value{Num(10.2), Num(10), Num(10), Num(10.2)}, 1},
+		{"mixed gran", []Value{NumGran(7, 1), NumGran(7, 0.01), NumGran(7.2, 0.1), NumGran(7, 0.1)}, 1},
+		{"text", []Value{Str("b22"), Str("B 22"), Str("c1"), Str("B22")}, 5},
+		{"negative tolerance", []Value{Num(1), Num(1.5), Num(1)}, -1},
+		{"zero tolerance keeps first gran", []Value{NumGran(3, 1), NumGran(3, 0.1)}, 0},
+		{"single", []Value{Minutes(600)}, 10},
+	}
+	// Both sides of the insertion-sort cutoff: two values tie on count in
+	// an A B B A pattern, so only the first occurrence (not the last) puts
+	// A first.
+	for _, n := range []int{insertionMax, insertionMax + 1} {
+		vals := make([]Value, n)
+		for i := range vals {
+			switch {
+			case i >= insertionMax:
+				vals[i] = Num(30)
+			case i%4 == 0 || i%4 == 3:
+				vals[i] = Num(10)
+			default:
+				vals[i] = Num(20)
+			}
+		}
+		cases = append(cases, struct {
+			name string
+			vals []Value
+			tol  float64
+		}{fmt.Sprintf("%d values", n), vals, 1.5})
+	}
+	var k Bucketer
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { checkAgainstReference(t, &k, c.vals, c.tol) })
+	}
+	// The representative carries the sign of its first occurrence.
+	if b := Bucketize(cases[0].vals, 1); !math.Signbit(b[0].Rep.Num) {
+		t.Error("representative lost the first occurrence's negative zero")
+	}
+}
+
+// TestBucketerAllocationFree: once warm, the kernel allocates nothing.
+func TestBucketerAllocationFree(t *testing.T) {
+	vals := []Value{Num(10), Num(10.2), Num(14), Num(10), NumGran(14, 1), Num(30)}
+	var k Bucketer
+	k.Bucketize(vals, 1)
+	if a := testing.AllocsPerRun(20, func() { k.Bucketize(vals, 1) }); a != 0 {
+		t.Errorf("warm Bucketer allocated %.1f objects per call, want 0", a)
+	}
+}
+
+// FuzzBucketize checks the kernel against the reference on arbitrary
+// items (see decodeValues); the committed corpus lives in
+// testdata/fuzz/FuzzBucketize.
+func FuzzBucketize(f *testing.F) {
+	f.Add([]byte{3, 1, 0, 0, 1, 0, 1, 2, 1, 0})
+	f.Add([]byte{0, 1, 2, 6, 1, 2, 7, 4, 0, 6})
+	var k Bucketer
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1+3*256 {
+			return
+		}
+		vals, tol := decodeValues(data)
+		checkAgainstReference(t, &k, vals, tol)
+	})
 }

@@ -2,6 +2,7 @@ package value
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -28,6 +29,9 @@ func Parse(kind Kind, raw string) (Value, error) {
 //
 //	"6,700,000"  "6700000"  "6.7M"  "1.25B"  "483.2K"  "3.51%"  "$12.85"
 //	"12.85" "-0.43" "+0.43" "(0.43)" (accounting negative) "N/A" -> error
+//
+// Forms that do not denote a finite quantity ("NaN", "Inf", "-Infinity",
+// "1e999") are errors.
 //
 // The returned value records the granularity implied by the representation:
 // suffixed forms are granular at one decimal of the suffix unit, plain forms
@@ -72,6 +76,9 @@ func ParseNumber(raw string) (Value, error) {
 		return Value{}, fmt.Errorf("value: bad number %q: %w", raw, err)
 	}
 	x *= mult
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return Value{}, fmt.Errorf("value: non-finite number %q", raw)
+	}
 	if neg {
 		x = -x
 	}

@@ -42,7 +42,8 @@ func TestParseNumber(t *testing.T) {
 }
 
 func TestParseNumberErrors(t *testing.T) {
-	for _, in := range []string{"", "N/A", "NA", "-", "--", "abc", "12x34", "1.2.3"} {
+	for _, in := range []string{"", "N/A", "NA", "-", "--", "abc", "12x34", "1.2.3",
+		"NaN", "nan", "Inf", "-inf", "+Infinity", "-Infinity", "1e999", "(Inf)", "1.7e308M"} {
 		if _, err := ParseNumber(in); err == nil {
 			t.Errorf("ParseNumber(%q) should fail", in)
 		}

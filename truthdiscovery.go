@@ -29,6 +29,7 @@ package truthdiscovery
 
 import (
 	"fmt"
+	"math"
 
 	"truthdiscovery/internal/fusion"
 	"truthdiscovery/internal/model"
@@ -170,8 +171,17 @@ func (b *Builder) Claim(src SourceID, obj ObjectID, attr AttrID, raw string) err
 	return nil
 }
 
-// ClaimValue records an already-normalised value.
+// ClaimValue records an already-normalised value. A number or time that is
+// not finite is refused: the claim is dropped and Build returns the first
+// such error.
 func (b *Builder) ClaimValue(src SourceID, obj ObjectID, attr AttrID, v Value) {
+	if v.Kind != value.Text && (math.IsNaN(v.Num) || math.IsInf(v.Num, 0)) {
+		if b.err == nil {
+			b.err = fmt.Errorf("truthdiscovery: non-finite %s value %v for object %d, attribute %d",
+				v.Kind, v.Num, obj, attr)
+		}
+		return
+	}
 	item := b.ds.ItemFor(obj, attr)
 	b.claims = append(b.claims, model.Claim{
 		Source: src, Item: item, Val: v, CopiedFrom: model.NoSource,

@@ -1,6 +1,8 @@
 package truthdiscovery
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -77,6 +79,40 @@ func TestBuilderParseError(t *testing.T) {
 	}
 	if _, _, err := b.Build(); err == nil {
 		t.Fatal("Build should surface the claim error")
+	}
+}
+
+// TestBuilderRejectsNonFinite: raw claims that parse to NaN or an
+// infinity fail, and so does an already-normalised number or time that is
+// not finite; Build surfaces the first such error.
+func TestBuilderRejectsNonFinite(t *testing.T) {
+	b := NewBuilder("x")
+	n := b.Attribute("n", Number)
+	s := b.Source("s")
+	o := b.Object("o")
+	for _, raw := range []string{"NaN", "Inf", "-Infinity"} {
+		if err := b.Claim(s, o, n, raw); err == nil {
+			t.Errorf("Claim(%q) should fail", raw)
+		}
+	}
+
+	for _, v := range []Value{
+		{Kind: Number, Num: math.NaN()},
+		{Kind: Number, Num: math.Inf(1)},
+		{Kind: Time, Num: math.Inf(-1)},
+	} {
+		b := NewBuilder("x")
+		n := b.Attribute("n", v.Kind)
+		s := b.Source("s")
+		o := b.Object("o")
+		b.ClaimValue(s, o, n, Value{Kind: v.Kind, Num: 1})
+		b.ClaimValue(s, o, n, v)
+		if _, _, err := b.Build(); err == nil {
+			t.Errorf("Build accepted ClaimValue %v", v)
+		}
+	}
+	if _, _, err := LoadClaimsCSV(strings.NewReader("s,o,a,number,NaN\n")); err == nil {
+		t.Error("LoadClaimsCSV accepted NaN")
 	}
 }
 
