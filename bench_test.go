@@ -596,6 +596,41 @@ func BenchmarkShardedIncrementalDelta(b *testing.B) {
 	}
 }
 
+// BenchmarkShardedWarmAdvance runs BenchmarkShardedIncrementalDelta's
+// stream at a 0.05 trust tolerance, so the planner takes the dirty-only
+// warm path over the shard set: clean posterior rows carry over, only
+// rebuilt items are rescored. warm% reports how many advances ran warm.
+func BenchmarkShardedWarmAdvance(b *testing.B) {
+	ds, snaps, deltas := churnWorld(b)
+	m, _ := fusion.ByName("AccuPr")
+	spec := model.RangeShards(8, snaps[0].NumItems())
+	inc := fusion.IncrementalOptions{TrustTolerance: 0.05, Planner: &fusion.Planner{Mode: fusion.PlannerAuto}}
+	var warm, advances int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := fusion.NewShardedState(ds, snaps[0], nil, spec, m, fusion.Options{}, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, dl := range deltas {
+			next, stats, err := st.Advance(ds, dl, fusion.Options{}, inc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if stats.Mode == fusion.ModeWarm {
+				warm++
+			}
+			advances++
+			st = next
+		}
+	}
+	b.StopTimer()
+	if advances > 0 {
+		b.ReportMetric(100*float64(warm)/float64(advances), "warm%")
+	}
+}
+
 // Planner benchmarks: the adaptive planner against a forced-full
 // baseline at both ends of the churn spectrum. On the low-churn world
 // (~5% of items/day) the auto plan takes the dirty-only warm path and

@@ -256,20 +256,41 @@ func normalised(rec *Record, name, ref string, ns float64) (float64, bool) {
 }
 
 func compare(oldRec, newRec *Record, ref string, threshold float64) bool {
-	names := make([]string, 0, len(newRec.Benchmarks))
-	for name := range newRec.Benchmarks {
-		if _, ok := oldRec.Benchmarks[name]; ok {
+	// A gated benchmark that disappears (renamed or deleted) must not drop
+	// out of the gate silently; a new one has no baseline to gate against.
+	var names, missing, ungated []string
+	for name := range oldRec.Benchmarks {
+		if _, ok := newRec.Benchmarks[name]; ok {
 			names = append(names, name)
+		} else {
+			missing = append(missing, name)
+		}
+	}
+	for name := range newRec.Benchmarks {
+		if _, ok := oldRec.Benchmarks[name]; !ok {
+			ungated = append(ungated, name)
 		}
 	}
 	sort.Strings(names)
+	sort.Strings(missing)
+	sort.Strings(ungated)
+	for _, name := range ungated {
+		fmt.Printf("%-50s %12s %12.0f  (not in the baseline — not gated)\n", name, "-", newRec.Benchmarks[name])
+	}
+	ok := len(missing) == 0
+	for _, name := range missing {
+		fmt.Printf("%-50s %12.0f %12s  MISSING (baseline entry absent from the candidate)\n", name, oldRec.Benchmarks[name], "-")
+	}
+	if !ok {
+		fmt.Printf("benchdiff: %d baseline benchmarks missing from the candidate\n", len(missing))
+	}
 	if len(names) == 0 {
 		fmt.Println("benchdiff: no common benchmarks; nothing to gate")
-		return true
+		return ok
 	}
 
-	ok := true
 	fmt.Printf("%-50s %12s %12s %8s\n", "benchmark", "old ns/op", "new ns/op", "ratio")
+	regressed := false
 	for _, name := range names {
 		oldNs, newNs := oldRec.Benchmarks[name], newRec.Benchmarks[name]
 		if base, _ := cpuSuffix(name); base == ref {
@@ -309,11 +330,12 @@ func compare(oldRec, newRec *Record, ref string, threshold float64) bool {
 		verdict := ""
 		if ratio > threshold {
 			verdict = "  REGRESSION"
-			ok = false
+			regressed = true
 		}
 		fmt.Printf("%-50s %12.0f %12.0f %7.2fx%s\n", name, oldNs, newNs, ratio, verdict)
 	}
-	if !ok {
+	ok = ok && !regressed
+	if regressed {
 		fmt.Printf("benchdiff: normalised regression past %.2fx (reference %s)\n", threshold, ref)
 	}
 	if !compareAllocs(oldRec, newRec, threshold) {

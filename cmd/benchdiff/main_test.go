@@ -116,6 +116,23 @@ func TestCompareHardwareNormalised(t *testing.T) {
 	}
 }
 
+// TestCompareMissingBenchmark: a baseline entry absent from the
+// candidate (renamed or deleted) fails the gate instead of dropping out
+// of it; a candidate entry the baseline lacks is listed, not gated.
+func TestCompareMissingBenchmark(t *testing.T) {
+	oldRec := rec(1000, map[string]float64{"BenchmarkA-4": 5000, "BenchmarkB-4": 5000}, nil)
+	if compare(oldRec, rec(1000, map[string]float64{"BenchmarkA-4": 5000}, nil), ref, 1.20) {
+		t.Fatal("a vanished baseline benchmark passed the gate")
+	}
+	if compare(oldRec, rec(1000, map[string]float64{"BenchmarkA-4": 5000, "BenchmarkBRenamed-4": 5000}, nil), ref, 1.20) {
+		t.Fatal("a renamed baseline benchmark passed the gate")
+	}
+	extra := rec(1000, map[string]float64{"BenchmarkA-4": 5000, "BenchmarkB-4": 5000, "BenchmarkC-4": 1e9}, nil)
+	if !compare(oldRec, extra, ref, 1.20) {
+		t.Fatal("a benchmark new to the candidate was gated")
+	}
+}
+
 // TestCompareMetricsGating pins the custom-metric directions: latency
 // percentiles gate on growth, req/s gates on shrinkage, both hardware-
 // normalised, and p999-ns never gates.

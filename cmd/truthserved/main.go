@@ -111,7 +111,8 @@ func main() {
 	if err := opts.Validate(); err != nil {
 		usageError(err.Error())
 	}
-	if _, ok := td.MethodByName(*method); !ok {
+	m, ok := td.MethodByName(*method)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown method %q; available:\n", *method)
 		for _, m := range td.Methods() {
 			fmt.Fprintf(os.Stderr, "  %s\n", m.Name())
@@ -148,6 +149,21 @@ func main() {
 		}
 		if *shards > 0 && *shards < *workers {
 			usageError(fmt.Sprintf("-shards %d cannot tile across %d workers (need at least one shard each)", *shards, *workers))
+		}
+		// The fleet honours none of the in-process knobs: every refresh
+		// re-runs the full iteration on resident shards, and the workers
+		// must fuse a method the round protocol can split.
+		if err := fusion.DistCheck(m, fusion.Options{}); err != nil {
+			usageError(err.Error())
+		}
+		if *trustTol != 0 {
+			usageError("-trust-tolerance does not apply with -workers (the fleet always re-runs the exact full iteration)")
+		}
+		if *plan != "auto" && *plan != "full" {
+			usageError(fmt.Sprintf("-plan %s does not apply with -workers (the fleet always runs the full path)", *plan))
+		}
+		if *maxResident > 0 {
+			usageError("-max-resident-shards does not apply with -workers (workers keep their shards resident)")
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -105,8 +106,13 @@ func (c *PeerClient) Phase(step int, trust []float64, byKey [][]float64) error {
 // MinMax implements fusion.DistPeer.
 func (c *PeerClient) MinMax(space int) (float64, float64, error) {
 	var resp minmaxResponse
-	err := c.call("/rpc/minmax", minmaxRequest{Space: space}, &resp)
-	return resp.Lo, resp.Hi, err
+	if err := c.call("/rpc/minmax", minmaxRequest{Space: space}, &resp); err != nil {
+		return 0, 0, err
+	}
+	if resp.Empty {
+		return math.Inf(1), math.Inf(-1), nil
+	}
+	return resp.Lo, resp.Hi, nil
 }
 
 // Rescale implements fusion.DistPeer.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"truthdiscovery/internal/datagen"
@@ -362,5 +363,82 @@ func TestCoordinatorValidation(t *testing.T) {
 	// No workers at all.
 	if err := coordFor().Init(); err == nil {
 		t.Fatal("Init accepted an empty fleet")
+	}
+}
+
+// TestHTTPFleetEmptyRange: a worker whose shard range holds only
+// unclaimed items has no scores, so its rescale extrema are the
+// (+Inf, -Inf) sentinel JSON cannot encode. The reply carries the
+// emptiness explicitly, and the fleet still matches flat Fuse.
+func TestHTTPFleetEmptyRange(t *testing.T) {
+	ds, snaps := world(t, 1)
+	spec := model.RangeShards(2, snaps[0].NumItems())
+	var claims []model.Claim
+	for _, c := range snaps[0].Claims {
+		if spec.ShardOf(c.Item) == 0 {
+			claims = append(claims, c)
+		}
+	}
+	snap := model.NewSnapshot(snaps[0].Day, snaps[0].Label, snaps[0].NumItems(), claims)
+	for _, name := range []string{"2-Estimates", "3-Estimates"} {
+		m, _ := fusion.ByName(name)
+		wantRes, wantAns := flatReference(ds, snap, m)
+		dirs := []string{t.TempDir(), t.TempDir()}
+		fl := newFleet(t, ds, snap, m, spec, []int{0, 1, 2}, dirs, serve.NewServer())
+		v, err := fl.coord.RunAndPublish()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameBits(t, name+" trust", v.Trust, wantRes.Trust)
+		var got []fusion.Answer
+		for _, dir := range dirs {
+			st, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := st.LoadCurrent()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, run.Answers...)
+		}
+		sameAnswers(t, name+" answers", got, wantAns)
+	}
+}
+
+// truncatingPeer halves the first accumulator row its worker returns.
+type truncatingPeer struct{ *PeerClient }
+
+func (p truncatingPeer) Fold(fold int, trust []float64, byKey [][]float64, acc [][]float64) ([][]float64, error) {
+	out, err := p.PeerClient.Fold(fold, trust, byKey, acc)
+	if err == nil && len(out) > 0 {
+		out[0] = out[0][:len(out[0])/2]
+	}
+	return out, err
+}
+
+// TestDistRunShortFoldRow: a short accumulator row is reported against
+// the peer that returned it, before the next worker can trip on it.
+func TestDistRunShortFoldRow(t *testing.T) {
+	ds, snaps := world(t, 1)
+	snap := snaps[0]
+	spec := model.RangeShards(4, snap.NumItems())
+	m, _ := fusion.ByName("AccuPr")
+	fl := newFleet(t, ds, snap, m, spec, []int{0, 2, 4}, nil, nil)
+	peers := []fusion.DistPeer{truncatingPeer{fl.peers[0]}, fl.peers[1]}
+	_, err := fusion.DistRun(m, fusion.Options{}, peers, fl.coord.n, fl.coord.nAttrs, fl.coord.cps)
+	if err == nil || !strings.Contains(err.Error(), "peer 0") {
+		t.Fatalf("DistRun error %v, want one naming peer 0", err)
+	}
+}
+
+// TestWriteRPCUnencodable: a reply JSON cannot carry answers an rpcError
+// 500 instead of a 200 with a truncated body.
+func TestWriteRPCUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeRPC(rec, http.StatusOK, minmaxResponse{Lo: math.Inf(1), Hi: math.Inf(-1)})
+	var re rpcError
+	if err := json.Unmarshal(rec.Body.Bytes(), &re); rec.Code != http.StatusInternalServerError || err != nil || re.Error == "" {
+		t.Fatalf("status %d body %q, want a 500 rpcError", rec.Code, rec.Body.String())
 	}
 }

@@ -59,9 +59,12 @@ type minmaxRequest struct {
 	Space int `json:"space"`
 }
 
+// Empty marks a worker without scores, whose extrema are the
+// (+Inf, -Inf) sentinel JSON cannot carry.
 type minmaxResponse struct {
-	Lo float64 `json:"lo"`
-	Hi float64 `json:"hi"`
+	Lo    float64 `json:"lo"`
+	Hi    float64 `json:"hi"`
+	Empty bool    `json:"empty,omitempty"`
 }
 
 // rescaleRequest broadcasts the combined global extrema back.

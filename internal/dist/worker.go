@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -132,10 +133,19 @@ func rpc[Req, Resp any](h func(*Req) (Resp, error)) http.HandlerFunc {
 	}
 }
 
+// writeRPC encodes the body before committing the status, so a reply
+// JSON cannot carry (a NaN or infinite float) answers an rpcError 500
+// instead of a 200 with a truncated body.
 func writeRPC(w http.ResponseWriter, status int, body any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(body); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		_ = json.NewEncoder(&buf).Encode(rpcError{Error: "encoding reply: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
+	_, _ = w.Write(buf.Bytes())
 }
 
 func (w *Worker) describe(_ *struct{}) (describeResponse, error) {
@@ -199,6 +209,9 @@ func (w *Worker) minmax(req *minmaxRequest) (minmaxResponse, error) {
 		return minmaxResponse{}, err
 	}
 	lo, hi, err := e.MinMax(req.Space)
+	if lo > hi {
+		return minmaxResponse{Empty: true}, err
+	}
 	return minmaxResponse{Lo: lo, Hi: hi}, err
 }
 

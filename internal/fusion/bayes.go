@@ -92,6 +92,7 @@ type accuConfig struct {
 	format     bool // format subsumption boost
 	perAttr    bool // per-attribute trust
 	perCat     bool // per-object-category trust (Section 5 extension)
+	copies     bool // ACCUCOPY copy detection (the sharded executor's detect step)
 }
 
 // AccuPr applies Bayesian analysis with N uniformly distributed false
@@ -642,10 +643,11 @@ func accuMeanFold(it *ProblemItem, key int32, byKey [][]float64, acc, claims []f
 // tfConfItem computes one item's TRUTHFINDER confidences; nlg is the
 // per-round -ln(1-min(tau, tfMaxTau)) table (tfLogTable) and tmp a
 // per-worker temporary of at least len(it.Buckets) entries, fully
-// rewritten here. Shared verbatim by the flat loop and the sharded
-// engine, like every kernel in this file. The similarity boost splits at
-// the diagonal into two straight-line slice loops, preserving the exact
-// skip-b accumulation order without the per-entry branch.
+// rewritten here. Shared verbatim by the flat loop and the round
+// protocol's executor (dist.go), like every kernel in this file. The
+// similarity boost splits at the diagonal into two straight-line slice
+// loops, preserving the exact skip-b accumulation order without the
+// per-entry branch.
 func tfConfItem(it *ProblemItem, sim []float32, nlg []float64, row, tmp []float64) {
 	nb := len(it.Buckets)
 	raw := tmp[:nb]

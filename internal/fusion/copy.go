@@ -103,7 +103,7 @@ func detectOnProblem(p *Problem, chosen []int32, probs [][]float64, acc []float6
 // assignment into one copy-detection observation. chosenB is the item's
 // winning bucket; prow (optional) its current per-bucket truth
 // probabilities. A pure per-item function, shared by the flat detector
-// path and the sharded engine's global observation gather.
+// path and the round protocol's copy-detection step (dist.go).
 func buildObservation(it *ProblemItem, chosenB int32, prow []float64, opts Options, out *copydetect.Observation) {
 	o := copydetect.Observation{
 		Sources:   make([]int32, 0, it.Providers),
@@ -163,7 +163,7 @@ func independenceWeights(p *Problem, acc []float64, dep [][]float64, parallelism
 }
 
 // independenceWeightsItem computes one item's per-claim independence
-// weights (a pure per-item function, shared with the sharded engine).
+// weights (a pure per-item function).
 func independenceWeightsItem(it *ProblemItem, acc []float64, dep [][]float64) [][]float64 {
 	wi := make([][]float64, len(it.Buckets))
 	for b, bk := range it.Buckets {

@@ -1,6 +1,7 @@
 package fusion
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -91,9 +92,9 @@ func TestDistRunLoopbackBitIdentical(t *testing.T) {
 	spec := model.RangeShards(4, snap.NumItems())
 	methods := append(Methods(), ExtensionMethods()...)
 	for _, m := range methods {
-		if _, _, err := distCheck(m, Options{}); err != nil {
+		if err := DistCheck(m, Options{}); err != nil {
 			if _, err := DistRun(m, Options{}, []DistPeer{}, len(DefaultRoster(ds)), len(ds.Attrs), nil); err == nil {
-				t.Fatalf("%s: DistRun accepted a method distCheck rejects", m.Name())
+				t.Fatalf("%s: DistRun accepted a method DistCheck rejects", m.Name())
 			}
 			continue
 		}
@@ -113,31 +114,68 @@ func TestDistRunLoopbackBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDistRunRejectsOfflineOptions: externally supplied trust and known
-// copier groups are offline-analysis inputs, not distributed ones.
+// TestDistRunRejectsOfflineOptions is the capability table of split
+// runs. AccuCopy, KnownGroups, AccuSimCat and Ensemble need every item in
+// one process: DistRun and NewDistExec refuse them with the one
+// DistCheck error. Supplied trust lives in the coordinator's loop — the
+// workers below are built without it — and matches flat Run at one to
+// three loopback workers.
 func TestDistRunRejectsOfflineOptions(t *testing.T) {
 	ds, snaps := incWorld(t, 5, 1)
-	for _, opts := range []Options{
-		{InputTrust: []float64{1}},
-		{InitialTrust: []float64{1}},
-		{InputAttrTrust: [][]float64{{1}}},
-		{KnownGroups: [][]model.SourceID{{0, 1}}},
-	} {
-		if _, _, err := distCheck(AccuPr{}, opts); err == nil {
-			t.Fatalf("distCheck accepted offline options %+v", opts)
+	snap := snaps[0]
+	n, numAttrs := len(DefaultRoster(ds)), len(ds.Attrs)
+	spec := model.RangeShards(4, snap.NumItems())
+	input := make([]float64, n)
+	attr := make([][]float64, n)
+	for s := range input {
+		input[s] = 0.3 + 0.6*float64(s%7)/7
+		attr[s] = make([]float64, numAttrs)
+		for a := range attr[s] {
+			attr[s][a] = 0.2 + 0.7*float64((s+a)%5)/5
 		}
 	}
-	spec := model.RangeShards(2, snaps[0].NumItems())
-	sp, err := BuildShardedOwned(ds, snaps[0], nil, spec, AccuPr{}.Needs(), 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewDistExec(sp, sp0Method(), Options{InputTrust: []float64{1}}, nil); err == nil {
-		t.Fatal("NewDistExec accepted InputTrust")
+	for _, tc := range []struct {
+		name  string
+		m     Method
+		opts  Options
+		split bool
+	}{
+		{"AccuCopy", AccuCopy{}, Options{}, false},
+		{"KnownGroups", AccuPr{}, Options{KnownGroups: [][]model.SourceID{{0, 1}}}, false},
+		{"AccuSimCat", AccuSimCat{}, Options{}, false},
+		{"Ensemble", Ensemble{}, Options{}, false},
+		{"AccuPr/InputTrust", AccuPr{}, Options{InputTrust: input}, true},
+		{"AccuPr/InitialTrust", AccuPr{}, Options{InitialTrust: input}, true},
+		{"AccuFormatAttr/InputAttrTrust", AccuFormatAttr{}, Options{InputAttrTrust: attr}, true},
+		{"AccuFormatAttr/InputTrust", AccuFormatAttr{}, Options{InputTrust: input}, true},
+		{"Hub/InputTrust", Hub{}, Options{InputTrust: input}, true},
+		{"3-Estimates/InputTrust", ThreeEstimates{}, Options{InputTrust: input}, true},
+		{"TruthFinder/InputTrust", TruthFinder{}, Options{InputTrust: input}, true},
+	} {
+		if !tc.split {
+			if _, err := DistRun(tc.m, tc.opts, nil, n, numAttrs, nil); !errors.Is(err, errNoSplit) {
+				t.Fatalf("%s: DistRun error %v, want the capability error", tc.name, err)
+			}
+			sp, err := BuildShardedOwned(ds, snap, nil, spec, AccuCopy{}.Needs(), 0, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := NewDistExec(sp, tc.m, tc.opts, nil); !errors.Is(err, errNoSplit) {
+				t.Fatalf("%s: NewDistExec error %v, want the capability error", tc.name, err)
+			}
+			continue
+		}
+		flat := tc.m.Run(Build(ds, snap, nil, tc.m.Needs()), tc.opts)
+		for _, bounds := range distSplits() {
+			peers, execs := distWorld(t, ds, snap, tc.m, Options{}, spec, bounds)
+			dr, err := DistRun(tc.m, tc.opts, peers, n, numAttrs, execs[0].cps)
+			if err != nil {
+				t.Fatalf("%s/workers%d: %v", tc.name, len(bounds)-1, err)
+			}
+			sameShardedResult(t, fmt.Sprintf("%s/workers%d", tc.name, len(bounds)-1), flat, assembleDist(dr, execs))
+		}
 	}
 }
-
-func sp0Method() Method { return AccuPr{} }
 
 // TestBuildShardedOwnedNeedsRange: hash sharding interleaves items across
 // shards, which breaks the worker-order == item-order invariant.

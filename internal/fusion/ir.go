@@ -289,9 +289,10 @@ func sumTrust(ss []int32, trust []float64) float64 {
 }
 
 // The per-item kernels of the IR family. Each is shared verbatim by the
-// flat round loops above and the sharded engine (sharded.go), so both
-// paths perform the same floating-point operations in the same per-item
-// order — the flat/sharded bit-identity contract.
+// flat round loops above and the round protocol's executor (dist.go),
+// which runs every sharded and distributed round, so the paths perform
+// the same floating-point operations in the same per-item order — the
+// bit-identity contract.
 
 // cosineScoreItem computes one item's truth scores in [-1, 1]; cube is
 // the per-round trust^3 table (cosineCubeTable) and tmp a per-worker
@@ -478,7 +479,7 @@ func flatMinMax(xs []float64) (lo, hi float64) {
 }
 
 // rescaleSpan linearly rescales xs with the supplied global bounds (the
-// element-wise half of rescale01, shared by the sharded engine).
+// element-wise half of rescale01, shared by the round protocol's rescale).
 func rescaleSpan(xs []float64, lo, hi float64) {
 	if hi <= lo {
 		return

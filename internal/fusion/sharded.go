@@ -21,10 +21,12 @@ import (
 // resident, or sequentially under a memory budget that keeps at most
 // MaxResident arenas alive — and the per-source trust reduction folds
 // every shard's items in ascending global item order, which is the exact
-// floating-point association the flat engine uses. The result is
-// bit-identical to the unsharded path at any shard count: same answers,
-// same trust vectors, same posteriors, same round counts (asserted by
-// sharded_test.go for all sixteen methods).
+// floating-point association the flat engine uses. The methods' rounds
+// are the round protocol's (dist.go), run on one in-process executor
+// over this shard set. The result is bit-identical to the unsharded path
+// at any shard count: same answers, same trust vectors, same posteriors,
+// same round counts (asserted by sharded_test.go for all sixteen
+// methods).
 //
 // The memory-budget mode requires range sharding: there, shard order IS
 // global item order, so a shard can be loaded, phased, folded and
@@ -117,6 +119,8 @@ type ShardedProblem struct {
 	// shard-sequential passes).
 	residentBytes int64
 	peakBytes     int64
+	// rebuilds counts evicted arenas rebuilt by load (budget mode).
+	rebuilds int
 }
 
 // NumItems returns the total claimed-item count across all shards (the
@@ -304,6 +308,7 @@ func (sp *ShardedProblem) load(k int) *Problem {
 			p = filterProblem(p, pt.filter)
 		}
 		pt.p = p
+		sp.rebuilds++
 		sp.residentBytes += pt.arenaBytes
 		if sp.residentBytes > sp.peakBytes {
 			sp.peakBytes = sp.residentBytes
@@ -434,33 +439,6 @@ func chooseSharded(sp *ShardedProblem, spaces []voteSpace) []int32 {
 		chosen[g] = argmax32(spaces[k].row(i))
 	})
 	return chosen
-}
-
-// rescaleParts applies the 2-/3-ESTIMATES [0,1] renormalisation across
-// every shard's flat score vector as one global rescale: exact min/max
-// over all shards (min/max carry no association sensitivity), then the
-// element-wise scaling — bit-identical to rescaleFlat on the equivalent
-// flat vector. Runs on the persistent spaces; no arena loads.
-func rescaleParts(spaces []voteSpace, parallelism int) {
-	lo, hi := flatMinMax(nil)
-	for k := range spaces {
-		l, h := flatMinMax(spaces[k].flat)
-		if l < lo {
-			lo = l
-		}
-		if h > hi {
-			hi = h
-		}
-	}
-	if hi <= lo {
-		return
-	}
-	for k := range spaces {
-		xs := spaces[k].flat
-		parallel.For(len(xs), parallelism, func(a, b int) {
-			rescaleSpan(xs[a:b], lo, hi)
-		})
-	}
 }
 
 // problemArenaBytes estimates the resident footprint of one problem's

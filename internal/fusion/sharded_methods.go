@@ -1,682 +1,46 @@
 package fusion
 
 import (
-	"fmt"
 	"time"
 
-	"truthdiscovery/internal/copydetect"
 	"truthdiscovery/internal/model"
-	"truthdiscovery/internal/parallel"
 )
 
-// The per-method sharded drivers. Every driver mirrors its flat Run
-// round for round, calling the exact same per-item kernels (weblink.go,
-// ir.go, bayes.go, copy.go) with the same global trust state: phases
-// write only the owning shard's persistent score space, and the trust
-// folds visit items in global item order via ShardedProblem.sweep — the
-// same floating-point operations in the same order as the flat loops,
-// hence bit-identical results at any shard count.
-
-// Run executes the method over the sharded problem. The sixteen paper
-// methods and the Section 5 extensions are all supported; results are
-// bit-identical to m.Run on the equivalent flat problem.
+// Run executes the method over the sharded problem. Every method runs
+// its round program (dist.go) on one in-process executor spanning all
+// shards; the known-groups filter and the Ensemble vote compose whole
+// runs. The sixteen paper methods and the Section 5 extensions are all
+// supported; results are bit-identical to m.Run on the equivalent flat
+// problem.
 func (sp *ShardedProblem) Run(m Method, opts Options) (*Result, error) {
-	switch mm := m.(type) {
-	case Vote:
-		return voteSharded(sp), nil
-	case Hub:
-		return hubSharded(sp, opts), nil
-	case AvgLog:
-		return avgLogSharded(sp, opts), nil
-	case Invest:
-		return investSharded(sp, opts, false), nil
-	case PooledInvest:
-		return investSharded(sp, opts, true), nil
-	case Cosine:
-		return cosineSharded(sp, opts), nil
-	case TwoEstimates:
-		return twoEstSharded(sp, opts), nil
-	case ThreeEstimates:
-		return threeEstSharded(sp, opts), nil
-	case TruthFinder:
-		return tfSharded(sp, opts), nil
-	case AccuCopy:
-		return accuCopySharded(sp, opts)
-	case AccuSimCat:
-		return accuSharded(sp, opts, accuConfig{name: "AccuSimCat", sim: true, perCat: true}, nil), nil
-	case Ensemble:
-		return ensembleSharded(sp, mm, opts)
-	default:
-		if ac, ok := m.(accuConfigured); ok {
-			return accuSharded(sp, opts, ac.accuCfg(), nil), nil
-		}
-		return nil, fmt.Errorf("fusion: method %s has no sharded runner", m.Name())
-	}
-}
-
-// voteSharded: the dominant bucket is bucket 0 on every shard, exactly
-// as on the flat problem.
-func voteSharded(sp *ShardedProblem) *Result {
 	start := time.Now()
-	return &Result{
-		Method:    "Vote",
-		Chosen:    make([]int32, sp.NumItems()),
-		Rounds:    1,
-		Converged: true,
-		Elapsed:   time.Since(start),
-	}
-}
-
-// hubSharded mirrors Hub.Run.
-func hubSharded(sp *ShardedProblem, opts Options) *Result {
-	opts = opts.withDefaults()
-	start := time.Now()
-	n := len(sp.SourceIDs)
-	trust := initTrust(n, opts.startTrust(), 1)
-	next := make([]float64, n)
-	spaces := sp.newSpaces()
-	phase := func(k int, p *Problem, par int) {
-		parallel.For(len(p.Items), par, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				voteMassItem(&p.Items[i], trust, spaces[k].row(i))
-			}
-		})
-	}
-
-	res := &Result{Method: "Hub"}
-	for round := 1; ; round++ {
-		res.Rounds = round
-		if opts.InputTrust != nil {
-			sp.sweep(opts.Parallelism, phase, nil)
-			res.Converged = true
-			break
-		}
-		clear(next)
-		sp.sweep(opts.Parallelism, phase, func(k int, p *Problem, i, g int) {
-			voteMassFold(&p.Items[i], spaces[k].row(i), next)
-		})
-		normalizeMax(next)
-		delta := maxDelta(trust, next)
-		trust, next = next, trust
-		if delta < opts.Epsilon || round >= opts.MaxRounds {
-			res.Converged = delta < opts.Epsilon
-			break
-		}
-	}
-	res.Trust = trust
-	res.Chosen = chooseSharded(sp, spaces)
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-// avgLogSharded mirrors AvgLog.Run, reading the global claim counts.
-func avgLogSharded(sp *ShardedProblem, opts Options) *Result {
-	opts = opts.withDefaults()
-	start := time.Now()
-	n := len(sp.SourceIDs)
-	trust := initTrust(n, opts.startTrust(), 1)
-	next := make([]float64, n)
-	mass := make([]float64, n)
-	logc := logClaimCounts(sp.ClaimsPerSource)
-	spaces := sp.newSpaces()
-	phase := func(k int, p *Problem, par int) {
-		parallel.For(len(p.Items), par, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				voteMassItem(&p.Items[i], trust, spaces[k].row(i))
-			}
-		})
-	}
-
-	res := &Result{Method: "AvgLog"}
-	for round := 1; ; round++ {
-		res.Rounds = round
-		if opts.InputTrust != nil {
-			sp.sweep(opts.Parallelism, phase, nil)
-			res.Converged = true
-			break
-		}
-		clear(mass)
-		sp.sweep(opts.Parallelism, phase, func(k int, p *Problem, i, g int) {
-			voteMassFold(&p.Items[i], spaces[k].row(i), mass)
-		})
-		avgLogTail(sp.ClaimsPerSource, logc, mass, next)
-		normalizeMax(next)
-		delta := maxDelta(trust, next)
-		trust, next = next, trust
-		if delta < opts.Epsilon || round >= opts.MaxRounds {
-			res.Converged = delta < opts.Epsilon
-			break
-		}
-	}
-	res.Trust = trust
-	res.Chosen = chooseSharded(sp, spaces)
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-// investSharded mirrors runInvest, reading the global claim counts.
-func investSharded(sp *ShardedProblem, opts Options, pooled bool) *Result {
-	opts = opts.withDefaults()
-	start := time.Now()
-	n := len(sp.SourceIDs)
-	trust := initTrust(n, opts.startTrust(), 1)
-	next := make([]float64, n)
-	shares := make([]float64, n)
-	votes := sp.newSpaces()
-	invested := sp.newSpaces()
-	cps := sp.ClaimsPerSource
-	phase := func(k int, p *Problem, par int) {
-		parallel.For(len(p.Items), par, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				investItem(&p.Items[i], shares, votes[k].row(i), invested[k].row(i), pooled)
-			}
-		})
-	}
-
-	name := "Invest"
-	if pooled {
-		name = "PooledInvest"
-	}
-	res := &Result{Method: name}
-	for round := 1; ; round++ {
-		res.Rounds = round
-		investShares(shares, trust, cps)
-		if opts.InputTrust != nil {
-			sp.sweep(opts.Parallelism, phase, nil)
-			res.Converged = true
-			break
-		}
-		clear(next)
-		sp.sweep(opts.Parallelism, phase, func(k int, p *Problem, i, g int) {
-			investFold(&p.Items[i], shares, votes[k].row(i), invested[k].row(i), next)
-		})
-		if !pooled {
-			normalizeMax(next)
-		}
-		delta := maxDelta(trust, next)
-		trust, next = next, trust
-		if delta < opts.Epsilon || round >= opts.MaxRounds {
-			res.Converged = delta < opts.Epsilon
-			break
-		}
-	}
-	res.Trust = trust
-	res.Chosen = chooseSharded(sp, votes)
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-// cosineSharded mirrors Cosine.Run.
-func cosineSharded(sp *ShardedProblem, opts Options) *Result {
-	opts = opts.withDefaults()
-	start := time.Now()
-	n := len(sp.SourceIDs)
-	trust := initTrust(n, opts.startTrust(), 0.5)
-	next := make([]float64, n)
-	num := make([]float64, n)
-	den := make([]float64, n)
-	cnt := make([]float64, n)
-	cube := make([]float64, n)
-	spaces := sp.newSpaces()
-	temps := sp.newPartTemps(opts.Parallelism)
-	phase := func(k int, p *Problem, par int) {
-		parallel.ForWorker(len(p.Items), innerWorkers(par, temps[k]), func(worker, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				cosineScoreItem(&p.Items[i], cube, spaces[k].row(i), temps[k].rows[worker])
-			}
-		})
-	}
-
-	res := &Result{Method: "Cosine"}
-	for round := 1; ; round++ {
-		res.Rounds = round
-		cosineCubeTable(cube, trust)
-		if opts.InputTrust != nil {
-			sp.sweep(opts.Parallelism, phase, nil)
-			res.Converged = true
-			break
-		}
-		clear(num)
-		clear(den)
-		clear(cnt)
-		sp.sweep(opts.Parallelism, phase, func(k int, p *Problem, i, g int) {
-			cosineFold(&p.Items[i], spaces[k].row(i), num, den, cnt)
-		})
-		cosineTail(trust, num, den, cnt, next)
-		delta := maxDelta(trust, next)
-		trust, next = next, trust
-		if delta < opts.Epsilon || round >= opts.MaxRounds {
-			res.Converged = delta < opts.Epsilon
-			break
-		}
-	}
-	res.Trust = trust
-	res.Chosen = chooseSharded(sp, spaces)
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-// twoEstSharded mirrors TwoEstimates.Run: the per-round [0,1]
-// renormalisation spans all shards' scores as one global rescale.
-func twoEstSharded(sp *ShardedProblem, opts Options) *Result {
-	opts = opts.withDefaults()
-	start := time.Now()
-	n := len(sp.SourceIDs)
-	trust := initTrust(n, opts.startTrust(), 0.8)
-	next := make([]float64, n)
-	cnt := make([]float64, n)
-	spaces := sp.newSpaces()
-	phase := func(k int, p *Problem, par int) {
-		parallel.For(len(p.Items), par, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				twoEstVoteItem(&p.Items[i], trust, spaces[k].row(i))
-			}
-		})
-	}
-
-	res := &Result{Method: "2-Estimates"}
-	for round := 1; ; round++ {
-		res.Rounds = round
-		sp.sweep(opts.Parallelism, phase, nil)
-		rescaleParts(spaces, opts.Parallelism)
-		if opts.InputTrust != nil {
-			res.Converged = true
-			break
-		}
-		clear(next)
-		clear(cnt)
-		sp.sweep(opts.Parallelism, nil, func(k int, p *Problem, i, g int) {
-			twoEstFold(&p.Items[i], spaces[k].row(i), next, cnt)
-		})
-		divideBy(next, cnt)
-		rescale01(next)
-		delta := maxDelta(trust, next)
-		trust, next = next, trust
-		if delta < opts.Epsilon || round >= opts.MaxRounds {
-			res.Converged = delta < opts.Epsilon
-			break
-		}
-	}
-	res.Trust = trust
-	res.Chosen = chooseSharded(sp, spaces)
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-// threeEstSharded mirrors ThreeEstimates.Run: two global rescales per
-// round (sigma and the per-value error factors).
-func threeEstSharded(sp *ShardedProblem, opts Options) *Result {
-	opts = opts.withDefaults()
-	start := time.Now()
-	n := len(sp.SourceIDs)
-	trust := initTrust(n, opts.startTrust(), 0.8)
-	next := make([]float64, n)
-	cnt := make([]float64, n)
-	spaces := sp.newSpaces()
-	eps := sp.newSpaces()
-	for k := range eps {
-		for i := range eps[k].flat {
-			eps[k].flat[i] = 0.4
-		}
-	}
-	sigmaPhase := func(k int, p *Problem, par int) {
-		parallel.For(len(p.Items), par, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				threeEstSigmaItem(&p.Items[i], trust, spaces[k].row(i), eps[k].row(i))
-			}
-		})
-	}
-	epsPhase := func(k int, p *Problem, par int) {
-		parallel.For(len(p.Items), par, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				threeEstEpsItem(&p.Items[i], trust, spaces[k].row(i), eps[k].row(i))
-			}
-		})
-	}
-
-	res := &Result{Method: "3-Estimates"}
-	for round := 1; ; round++ {
-		res.Rounds = round
-		sp.sweep(opts.Parallelism, sigmaPhase, nil)
-		rescaleParts(spaces, opts.Parallelism)
-
-		sp.sweep(opts.Parallelism, epsPhase, nil)
-		rescaleParts(eps, opts.Parallelism)
-
-		if opts.InputTrust != nil {
-			res.Converged = true
-			break
-		}
-		clear(next)
-		clear(cnt)
-		sp.sweep(opts.Parallelism, nil, func(k int, p *Problem, i, g int) {
-			threeEstFold(&p.Items[i], spaces[k].row(i), eps[k].row(i), next, cnt)
-		})
-		divideBy(next, cnt)
-		rescale01(next)
-		delta := maxDelta(trust, next)
-		trust, next = next, trust
-		if delta < opts.Epsilon || round >= opts.MaxRounds {
-			res.Converged = delta < opts.Epsilon
-			break
-		}
-	}
-	res.Trust = trust
-	res.Chosen = chooseSharded(sp, spaces)
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-// tfSharded mirrors TruthFinder.Run.
-func tfSharded(sp *ShardedProblem, opts Options) *Result {
-	opts = opts.withDefaults()
-	start := time.Now()
-	n := len(sp.SourceIDs)
-	tau := initTrust(n, opts.startTrust(), tfInitial)
-	next := make([]float64, n)
-	cnt := make([]float64, n)
-	nlg := make([]float64, n)
-	spaces := sp.newSpaces()
-	temps := sp.newPartTemps(opts.Parallelism)
-	phase := func(k int, p *Problem, par int) {
-		parallel.ForWorker(len(p.Items), innerWorkers(par, temps[k]), func(worker, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				tfConfItem(&p.Items[i], p.Sim[i], nlg, spaces[k].row(i), temps[k].rows[worker])
-			}
-		})
-	}
-
-	res := &Result{Method: "TruthFinder"}
-	for round := 1; ; round++ {
-		res.Rounds = round
-		tfLogTable(nlg, tau)
-		if opts.InputTrust != nil {
-			sp.sweep(opts.Parallelism, phase, nil)
-			res.Converged = true
-			break
-		}
-		clear(next)
-		clear(cnt)
-		sp.sweep(opts.Parallelism, phase, func(k int, p *Problem, i, g int) {
-			tfFold(&p.Items[i], spaces[k].row(i), next, cnt)
-		})
-		tfTail(next, cnt)
-		delta := maxDelta(tau, next)
-		tau, next = next, tau
-		if delta < opts.Epsilon || round >= opts.MaxRounds {
-			res.Converged = delta < opts.Epsilon
-			break
-		}
-	}
-	res.Trust = tau
-	res.Chosen = chooseSharded(sp, spaces)
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-// shardedWeights is one round's claim weights, per shard.
-type shardedWeights []claimWeights
-
-// accuSharded mirrors accuIterate over the shard set. weigh (optional)
-// recomputes the per-claim weights each round — ACCUCOPY's global
-// detection step, which gathers observations in global item order.
-func accuSharded(sp *ShardedProblem, opts Options, cfg accuConfig,
-	weigh func(round int, trust *accuTrust, probs [][]float64, chosen []int32) shardedWeights) *Result {
-
-	opts = opts.withDefaults()
-	start := time.Now()
-	n := len(sp.SourceIDs)
-	numKeys, keyAt := shardedKeySetup(sp, cfg)
-	trust := &accuTrust{keyed: numKeys > 0}
-	if trust.keyed {
-		trust.byKey = make([][]float64, n)
-		for s := 0; s < n; s++ {
-			trust.byKey[s] = make([]float64, numKeys)
-			for a := range trust.byKey[s] {
-				trust.byKey[s][a] = 0.8
-			}
-			if cfg.perAttr && opts.InputAttrTrust != nil {
-				copy(trust.byKey[s], opts.InputAttrTrust[s])
-			} else if opts.InputTrust != nil {
-				for a := range trust.byKey[s] {
-					trust.byKey[s][a] = opts.InputTrust[s]
-				}
-			} else if opts.InitialTrust != nil {
-				for a := range trust.byKey[s] {
-					trust.byKey[s][a] = opts.InitialTrust[s]
-				}
-			}
-		}
-	} else {
-		trust.global = initTrust(n, opts.startTrust(), 0.8)
-	}
-	trustGiven := opts.InputTrust != nil || (cfg.perAttr && opts.InputAttrTrust != nil)
-
-	// Posteriors: per-shard persistent flat arenas with global row views
-	// in item order — the sharded analogue of newProbRows.
-	probs := make([][]float64, sp.NumItems())
-	partRows := make([][][]float64, len(sp.parts))
-	for k, pt := range sp.parts {
-		flat := make([]float64, pt.numBuckets())
-		rows := make([][]float64, len(pt.items))
-		for i := range rows {
-			rows[i] = flat[pt.off[i]:pt.off[i+1]:pt.off[i+1]]
-		}
-		partRows[k] = rows
-	}
-	sp.walk(func(k, i, g int) { probs[g] = partRows[k][i] })
-	chosen := make([]int32, sp.NumItems()) // starts at the dominant bucket
-	if weigh != nil {
-		// Seed probabilities with provider shares (the VOTE prior) so the
-		// first detection round sees sensible uncertainty, as accuIterate
-		// does. Plain runs skip the pass: round 1 rewrites every row.
-		sp.sweep(opts.Parallelism, nil, func(k int, p *Problem, i, g int) {
-			it := &p.Items[i]
-			for b, bk := range it.Buckets {
-				probs[g][b] = float64(len(bk.Sources)) / float64(it.Providers)
-			}
-		})
-	}
-
-	res := &Result{Method: cfg.name}
-	width := n
-	if numKeys > 0 {
-		width *= numKeys
-	}
-	sc := &accuScratch{next: make([]float64, width), cnt: make([]float64, width)}
-	tables := newAccuTables(n, numKeys, opts, cfg)
-	// Per-shard popularity tables, built lazily on each shard's first
-	// phase (shard rebuilds under the memory budget reproduce the same
-	// bucket structure, so a table recorded once stays valid). Distinct
-	// slots, so concurrent shard phases never race.
-	var popTabs []*popTable
-	if cfg.popularity {
-		popTabs = make([]*popTable, len(sp.parts))
-	}
-	temps := sp.newPartTemps(opts.Parallelism)
-
-	var weights shardedWeights
-	phase := func(k int, p *Problem, par int) {
-		var w claimWeights
-		if weights != nil {
-			w = weights[k]
-		}
-		var pt *popTable
-		if popTabs != nil {
-			if popTabs[k] == nil {
-				popTabs[k] = newPopTable(p)
-			}
-			pt = popTabs[k]
-		}
-		gi := sp.parts[k].gidx
-		parallel.ForWorker(len(p.Items), innerWorkers(par, temps[k]), func(worker, lo, hi int) {
-			tmp := temps[k].rows[worker]
-			for i := lo; i < hi; i++ {
-				var wi [][]float64
-				if w != nil {
-					wi = w[i]
-				}
-				var popLg, popCnt []float64
-				if pt != nil {
-					popLg, popCnt = pt.rows(i)
-				}
-				g := gi[i]
-				chosen[g] = accuPosterior(p, i, opts, cfg, tables.row(keyAt(k, p, i)), popLg, popCnt, wi, probs[g], tmp)
-			}
-		})
-	}
-	fold := func(k int, p *Problem, i, g int) {
-		if trust.keyed {
-			accuFoldKeyed(&p.Items[i], int(keyAt(k, p, i)), numKeys, probs[g], sc.next, sc.cnt)
-		} else {
-			accuFoldGlobal(&p.Items[i], probs[g], sc.next, sc.cnt)
-		}
-	}
-
-	for round := 1; ; round++ {
-		res.Rounds = round
-		if weigh != nil {
-			weights = weigh(round, trust, probs, chosen)
-		}
-		tables.update(trust)
-		if trustGiven {
-			sp.sweep(opts.Parallelism, phase, nil)
-			// With sampled trust there is no estimation loop; ACCUCOPY
-			// still refines its copy weights until choices stabilise.
-			if weigh == nil || round >= 5 {
-				res.Converged = true
-				break
-			}
-			continue
-		}
-		clear(sc.next)
-		clear(sc.cnt)
-		sp.sweep(opts.Parallelism, phase, fold)
-		var delta float64
-		if trust.keyed {
-			delta = accuKeyedTail(trust, numKeys, sc.next, sc.cnt)
-		} else {
-			delta = accuGlobalTail(trust, sc)
-		}
-		if delta < opts.Epsilon || round >= opts.MaxRounds {
-			res.Converged = delta < opts.Epsilon
-			break
-		}
-	}
-
-	// Finish: the sharded analogue of accuFinish.
-	if trust.keyed {
-		if cfg.perAttr {
-			res.AttrTrust = trust.byKey
-		}
-		res.Trust = make([]float64, n)
-		claims := make([]float64, n)
-		sp.sweep(opts.Parallelism, nil, func(k int, p *Problem, i, g int) {
-			accuMeanFold(&p.Items[i], keyAt(k, p, i), trust.byKey, res.Trust, claims)
-		})
-		for s := range res.Trust {
-			if claims[s] > 0 {
-				res.Trust[s] /= claims[s]
-			}
-		}
-	} else {
-		res.Trust = trust.global
-	}
-	res.Chosen = chosen
-	res.Posteriors = probs
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-// shardedKeySetup resolves the trust key space over the shard set: the
-// global attribute table for the Attr variants, the globally renumbered
-// category table for the Cat extension, a single key otherwise.
-func shardedKeySetup(sp *ShardedProblem, cfg accuConfig) (numKeys int, keyAt func(k int, p *Problem, i int) int32) {
-	keyAt = func(int, *Problem, int) int32 { return 0 }
+	var res *Result
+	var err error
+	ens, isEnsemble := m.(Ensemble)
+	_, isCopy := m.(AccuCopy)
 	switch {
-	case cfg.perAttr:
-		numKeys = sp.NumAttrs
-		keyAt = func(k int, p *Problem, i int) int32 { return int32(p.Items[i].Attr) }
-	case cfg.perCat:
-		numKeys = len(sp.CatNames)
-		if numKeys == 0 {
-			numKeys = 1
+	case isEnsemble:
+		res, err = ensembleSharded(sp, ens, opts)
+	case isCopy && opts.KnownGroups != nil:
+		res, err = knownGroupsSharded(sp, opts)
+	default:
+		var e *DistExec
+		if e, err = newExec(sp, m, opts, nil, nil); err == nil {
+			res, err = e.run(nil, 0)
 		}
-		keyAt = func(k int, p *Problem, i int) int32 { return sp.parts[k].cats[i] }
 	}
-	return numKeys, keyAt
-}
-
-// accuCopySharded mirrors AccuCopy.Run: per-round global copy detection
-// over observations gathered in global item order, per-shard
-// independence weights, and the shared ACCU engine.
-func accuCopySharded(sp *ShardedProblem, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	start := time.Now()
-
-	if opts.KnownGroups != nil {
-		res, err := accuCopyKnownGroupsSharded(sp, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Elapsed = time.Since(start)
-		return res, nil
+	if err != nil {
+		return nil, err
 	}
-
-	const freezeAfter = 8
-	var frozen shardedWeights
-	cfg := accuConfig{name: "AccuCopy", sim: true, format: true}
-	res := accuSharded(sp, opts, cfg, func(round int, trust *accuTrust, probs [][]float64, chosen []int32) shardedWeights {
-		if round > freezeAfter && frozen != nil {
-			return frozen
-		}
-		acc := make([]float64, len(sp.SourceIDs))
-		for s := range acc {
-			if trust.global != nil {
-				acc[s] = trust.global[s]
-			} else {
-				acc[s] = 0.8
-			}
-		}
-		// Gather the observations in global item order — identical, entry
-		// for entry, to the flat detector's per-problem observation array.
-		obs := make([]copydetect.Observation, sp.NumItems())
-		sp.sweep(opts.Parallelism, func(k int, p *Problem, par int) {
-			gi := sp.parts[k].gidx
-			parallel.For(len(p.Items), par, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					g := gi[i]
-					buildObservation(&p.Items[i], chosen[g], probs[g], opts, &obs[g])
-				}
-			})
-		}, nil)
-		dep := copydetect.Detect(len(sp.SourceIDs), obs, acc, copydetect.Options{
-			NFalse:         opts.NFalse,
-			UniformFalse:   opts.CopyDetectPaper2009,
-			Parallelism:    opts.Parallelism,
-			CountChunkSize: opts.CopyDetectChunkSize,
-		})
-		w := make(shardedWeights, len(sp.parts))
-		sp.sweep(opts.Parallelism, func(k int, p *Problem, par int) {
-			w[k] = make(claimWeights, len(p.Items))
-			parallel.For(len(p.Items), par, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					w[k][i] = independenceWeightsItem(&p.Items[i], acc, dep)
-				}
-			})
-		}, nil)
-		frozen = w
-		return frozen
-	})
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
-// accuCopyKnownGroupsSharded mirrors runWithKnownGroups: every known
-// copier (but each group's first member) is filtered out of every shard,
-// the ACCU engine runs on the filtered shard set, and the choices are
+// knownGroupsSharded mirrors runWithKnownGroups: every known copier (but
+// each group's first member) is filtered out of every shard, the
+// ACCUFORMAT program runs on the filtered shard set, and the choices are
 // mapped back to the unfiltered bucket indexing shard by shard.
-func accuCopyKnownGroupsSharded(sp *ShardedProblem, opts Options) (*Result, error) {
+func knownGroupsSharded(sp *ShardedProblem, opts Options) (*Result, error) {
 	ignore := make([]bool, len(sp.SourceIDs))
 	indexOf := make(map[model.SourceID]int, len(sp.SourceIDs))
 	for i, s := range sp.SourceIDs {
@@ -692,12 +56,16 @@ func accuCopyKnownGroupsSharded(sp *ShardedProblem, opts Options) (*Result, erro
 			}
 		}
 	}
-	fsp, err := sp.withFilter(ignore)
+	fsp := sp.withFilter(ignore)
+	e, err := newExec(fsp, AccuFormat{}, opts, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	cfg := accuConfig{name: "AccuCopy", sim: true, format: true}
-	res := accuSharded(fsp, opts, cfg, nil)
+	res, err := e.run(nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	res.Method = "AccuCopy"
 
 	// Map choices back to the unfiltered bucket indexing, walking each
 	// shard's filtered and unfiltered item lists in lockstep (filtering
@@ -731,7 +99,7 @@ func accuCopyKnownGroupsSharded(sp *ShardedProblem, opts Options) (*Result, erro
 // withFilter derives the source-filtered shard set used by the
 // known-groups path: same spec, snapshots and residency policy, with
 // filterProblem applied to every (re)build.
-func (sp *ShardedProblem) withFilter(ignore []bool) (*ShardedProblem, error) {
+func (sp *ShardedProblem) withFilter(ignore []bool) *ShardedProblem {
 	out := &ShardedProblem{
 		Spec:        sp.Spec,
 		SourceIDs:   sp.SourceIDs,
@@ -751,13 +119,12 @@ func (sp *ShardedProblem) withFilter(ignore []bool) (*ShardedProblem, error) {
 		out.parts = append(out.parts, npt)
 	}
 	out.finishAssembly()
-	return out, nil
+	return out
 }
 
 // ensembleSharded mirrors Ensemble.Run: every member runs sharded and
 // the per-item majority vote walks the shard set once.
 func ensembleSharded(sp *ShardedProblem, e Ensemble, opts Options) (*Result, error) {
-	start := time.Now()
 	var results []*Result
 	rounds := 0
 	for _, name := range e.members() {
@@ -804,6 +171,5 @@ func ensembleSharded(sp *ShardedProblem, e Ensemble, opts Options) (*Result, err
 		Trust:     trust,
 		Rounds:    rounds,
 		Converged: true,
-		Elapsed:   time.Since(start),
 	}, nil
 }

@@ -46,13 +46,12 @@ func NewShardedState(ds *model.Dataset, snap *model.Snapshot, sources []model.So
 // snapshot and maintains its problem incrementally (only that shard's
 // dirty items are re-bucketized). Item-local methods (VOTE) then
 // recompute exactly the dirty items; with a positive TrustTolerance the
-// ACCU family runs the warm dirty-only iteration per shard (posteriors
-// recomputed only for each shard's rebuilt items, trust re-estimated
-// through the deterministic cross-shard merge, drift fallback to the
-// full run — the exact sharded port of the flat warm path); everything
-// else re-runs the full sharded iteration on the maintained problems.
-// At zero tolerance every path is bit-identical to a full Fuse of the
-// target snapshot, exactly as on the flat engine.
+// ACCU family runs warm (runWarm: the round protocol's ACCU loop from the
+// previous trust, phasing only each shard's rebuilt items, with a drift
+// fallback to the full run — bit-identical to the flat accuWarm);
+// everything else re-runs the full sharded iteration on the maintained
+// problems. At zero tolerance every path is bit-identical to a full Fuse
+// of the target snapshot, exactly as on the flat engine.
 //
 // The receiver stays valid: earlier states of a stream can be advanced
 // again (e.g. to branch a what-if delta), except under a memory budget,
@@ -87,7 +86,7 @@ func (st *ShardedState) Advance(ds *model.Dataset, delta *model.Delta, opts Opti
 	rebuiltOf := make([][]int, len(sp.parts))
 	prevIdxOf := make([][]int, len(sp.parts))
 	lm, isLocal := st.method.(ItemLocal)
-	ac, isAccu := st.method.(accuConfigured)
+	_, isAccu := st.method.(accuConfigured)
 	warmable := isAccu && inc.TrustTolerance > 0
 	dirtyShards := 0
 
@@ -185,7 +184,7 @@ func (st *ShardedState) Advance(ds *model.Dataset, delta *model.Delta, opts Opti
 		if !warmable {
 			return nil, IncrementalStats{}, forcedPathError(plan.Path, st.method.Name())
 		}
-		if res, ok := accuWarmSharded(next, sp, opts, ac.accuCfg(), st.Result,
+		if res, ok := runWarm(next, sp, st.method, opts, st.Result,
 			prevIdxOf, rebuiltOf, inc.TrustTolerance); ok {
 			res.Elapsed = time.Since(start)
 			res.Plan = &plan
@@ -205,4 +204,28 @@ func (st *ShardedState) Advance(ds *model.Dataset, delta *model.Delta, opts Opti
 	out.Result = res
 	stats.Mode = ModeFull
 	return out, stats, nil
+}
+
+// runWarm is the dirty-only warm path over the shard set: an executor
+// seeded from prev (computed on prevSP) phases only each shard's rebuilt
+// items while the ACCU loop re-estimates trust over every item from
+// prev's converged trust. It reports false — the caller re-runs the full
+// iteration — when sampled trust is supplied, when prev lacks the state,
+// or when a trust entry drifts more than tol from prev's. On the same
+// snapshot and tolerance the result is bit-identical to the flat
+// accuWarm: same tables, same per-item kernel, same global-item-order
+// fold, same drift test.
+func runWarm(next, prevSP *ShardedProblem, m Method, opts Options, prev *Result,
+	prevIdxOf, rebuiltOf [][]int, tol float64) (*Result, bool) {
+
+	e, err := newExec(next, m, opts, nil, rebuiltOf)
+	if err != nil || accuTrustGiven(e.opts, e.cfg) {
+		return nil, false
+	}
+	base, ok := e.seedWarm(prevSP, prev, prevIdxOf)
+	if !ok {
+		return nil, false
+	}
+	res, err := e.run(base, tol)
+	return res, err == nil
 }

@@ -312,6 +312,43 @@ func TestShardedResidencyAccounting(t *testing.T) {
 	}
 }
 
+// TestShardedBudgetRebuilds pins how often the memory budget rebuilds
+// an evicted shard (MaxResident 1 over 7 range shards: 6 evicted). A
+// round's phase and fold share one shard-by-shard sweep, so it costs one
+// rebuild per evicted shard; 2-/3-ESTIMATES pay one more per phase,
+// since the global rescale separates their phases from the fold. The
+// keyed ACCU finish adds one sweep, and ACCUCOPY a seed sweep plus two
+// detection sweeps per round (4 rounds here, before detection freezes
+// after round 8). The executor defers its phases to keep these counts.
+func TestShardedBudgetRebuilds(t *testing.T) {
+	ds, snaps := incWorld(t, 5, 1)
+	snap := snaps[0]
+	const evicted = 6
+	spec := model.RangeShards(evicted+1, snap.NumItems())
+	for _, tc := range []struct {
+		m               Method
+		perRound, extra int
+	}{
+		{Vote{}, 0, 0},
+		{AccuPr{}, 1, 0},
+		{Hub{}, 1, 0},
+		{Cosine{}, 1, 0},
+		{TruthFinder{}, 1, 0},
+		{TwoEstimates{}, 2, 0},
+		{ThreeEstimates{}, 3, 0},
+		{AccuFormatAttr{}, 1, 1},
+		{AccuCopy{}, 3, 1},
+	} {
+		res, sp, err := FuseSharded(ds, snap, nil, spec, tc.m, Options{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := evicted * (tc.perRound*res.Rounds + tc.extra); sp.rebuilds != want {
+			t.Errorf("%s: %d rebuilds over %d rounds, want %d", tc.m.Name(), sp.rebuilds, res.Rounds, want)
+		}
+	}
+}
+
 // TestShardedProblemShape sanity-checks the assembled structures: the
 // plan enumerates every claimed item exactly once in ascending ItemID
 // order, and the global claim counts match the flat problem's.

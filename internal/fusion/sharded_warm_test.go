@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"truthdiscovery/internal/model"
@@ -165,4 +166,77 @@ func TestShardedDirtyShardFanOut(t *testing.T) {
 		}
 		st = next
 	}
+}
+
+// TestShardedWarmAllocatesRebuiltRows pins the warm path's posterior
+// memory along a chain of advances: clean items share the previous
+// posterior rows, and only the rebuilt items get fresh ones. Each day is
+// advanced twice from the same state, forced warm and forced full; both
+// pay the same problem update, so the warm advance must allocate less by
+// at least half the clean rows' bytes. A warm executor that laid a
+// whole-shard posterior arena would allocate as much as the full run,
+// and each such arena would stay pinned by its few rebuilt rows across
+// the following warm advances.
+func TestShardedWarmAllocatesRebuiltRows(t *testing.T) {
+	ds, snaps := incWorldSized(t, 23, 6, 480)
+	spec := model.RangeShards(7, snaps[0].NumItems())
+	m, _ := ByName("AccuPr")
+	opts := Options{Parallelism: 1}
+	forced := func(path AdvanceMode) IncrementalOptions {
+		return IncrementalOptions{TrustTolerance: 1, Planner: &Planner{Mode: PlannerForced, ForcePath: path}}
+	}
+	st, err := NewShardedState(ds, snaps[0], nil, spec, m, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := 1; d < len(snaps); d++ {
+		delta, err := snaps[d-1].Diff(snaps[d])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullBytes := allocatedBytes(func() {
+			if _, _, err = st.Advance(ds, delta, opts, forced(ModeFull)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var next *ShardedState
+		var stats IncrementalStats
+		warmBytes := allocatedBytes(func() {
+			if next, stats, err = st.Advance(ds, delta, opts, forced(ModeWarm)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if stats.Mode != ModeWarm {
+			t.Fatalf("day %d: mode %s, want warm", d, stats.Mode)
+		}
+		shared := make(map[*float64]bool, len(st.Result.Posteriors))
+		for _, row := range st.Result.Posteriors {
+			shared[&row[0]] = true
+		}
+		var cleanBytes, rebuiltBytes int64
+		for _, row := range next.Result.Posteriors {
+			if shared[&row[0]] {
+				cleanBytes += 8 * int64(len(row))
+			} else {
+				rebuiltBytes += 8 * int64(len(row))
+			}
+		}
+		if rebuiltBytes == 0 || cleanBytes < 2*rebuiltBytes {
+			t.Fatalf("day %d: %d clean vs %d rebuilt row bytes; the chain needs low churn", d, cleanBytes, rebuiltBytes)
+		}
+		if saved := fullBytes - warmBytes; saved < cleanBytes/2 {
+			t.Errorf("day %d: warm advance allocated %d bytes, full %d: saved %d, want at least half of the %d clean row bytes",
+				d, warmBytes, fullBytes, saved, cleanBytes)
+		}
+		st = next
+	}
+}
+
+// allocatedBytes returns the heap bytes f allocates.
+func allocatedBytes(f func()) int64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc - before.TotalAlloc)
 }

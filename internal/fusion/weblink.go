@@ -214,10 +214,10 @@ func trustMassVotes(p *Problem, trust *[]float64, votes voteSpace) func(lo, hi i
 }
 
 // The per-item kernels of the Web-link family. Each is shared verbatim
-// by the flat round loops above and the sharded engine (sharded.go), so
-// the two paths perform the exact same floating-point operations in the
-// same per-item order — the root of the flat/sharded bit-identity
-// contract.
+// by the flat round loops above and the round protocol's executor
+// (dist.go), which runs every sharded and distributed round, so the
+// paths perform the exact same floating-point operations in the same
+// per-item order — the root of the bit-identity contract.
 
 // voteMassItem writes one item's votes: vote(b) = sum of provider trust.
 func voteMassItem(it *ProblemItem, trust []float64, row []float64) {

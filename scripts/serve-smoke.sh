@@ -45,6 +45,15 @@ for args in "-max-resident-shards 2" "-shards -3" "-parallel -1"; do
     echo "serve-smoke: truthserved $args exited $code, want usage error 2" >&2; exit 1
   fi
 done
+# Flags a -workers fleet cannot honour are refused before any child is
+# spawned.
+for args in "-method AccuCopy" "-trust-tolerance 0.05" "-plan warm" "-max-resident-shards 1 -shards 4"; do
+  code=0
+  timeout 10 "$tmp/truthserved" -workers 2 $args -in "$tmp/claims.csv" -addr 127.0.0.1:0 >/dev/null 2>&1 || code=$?
+  if [ "$code" -ne 2 ]; then
+    echo "serve-smoke: truthserved -workers 2 $args exited $code, want usage error 2" >&2; exit 1
+  fi
+done
 
 # -ingest-flush 1 makes every accepted claim flush (and publish)
 # immediately, so the ingest check below needs no timing slack.
