@@ -52,15 +52,18 @@ BENCH ?= bench.json
 benchgate:
 	$(GO) run ./cmd/benchdiff -old testdata/bench_baseline.json -new $(BENCH) -threshold 1.20
 
-# CPU + allocation profiles of the hottest fusion loops. CI uploads the
-# pprof files (plus the test binary that resolves their symbols) per
-# push, so a layout regression can be diagnosed straight from the run
-# page with `go tool pprof truthdiscovery.test cpu.pprof`. The top-10
-# cumulative text reports make the hot-kernel split readable from the
-# artifact without running pprof locally.
+# CPU + allocation profiles of the hottest fusion loops: the flat
+# Method.Run references and the state advance
+# (BenchmarkIncrementalAccuPrDelta), whose rounds run on the round
+# protocol's executor. CI uploads the pprof files (plus the test binary
+# that resolves their symbols) per push, so a layout regression can be
+# diagnosed straight from the run page with
+# `go tool pprof truthdiscovery.test cpu.pprof`. The top-10 cumulative
+# text reports make the hot-kernel split readable from the artifact
+# without running pprof locally.
 bench-profile:
 	$(GO) test -run='^$$' \
-		-bench='BenchmarkFusionAccuFormatAttrSerial|BenchmarkMethodAccuPr$$|BenchmarkMethodCosine$$|BenchmarkMethodTwoEstimates$$' \
+		-bench='BenchmarkFusionAccuFormatAttrSerial|BenchmarkMethodAccuPr$$|BenchmarkMethodCosine$$|BenchmarkMethodTwoEstimates$$|BenchmarkIncrementalAccuPrDelta$$' \
 		-benchtime=5x -benchmem -cpuprofile=cpu.pprof -memprofile=mem.pprof .
 	$(GO) tool pprof -top -cum -nodecount=10 truthdiscovery.test cpu.pprof > cpu.top10.txt
 	$(GO) tool pprof -top -cum -nodecount=10 truthdiscovery.test mem.pprof > mem.top10.txt

@@ -9,8 +9,8 @@ import (
 
 // TestFuseShardedIncrementalAllMethods extends the sharded incremental
 // bit-identity contract to the full sixteen-method roster at zero
-// tolerance: whatever path the plan picks for a method on the sharded
-// layout, the answers must equal full Fuse of each day's snapshot
+// tolerance: whatever path the plan picks for a method on a four-shard
+// state, the answers must equal full Fuse of each day's snapshot
 // exactly. The planner is armed (PlannerAuto) so the plan-driven
 // dispatch itself is what runs. CI runs this under -race.
 func TestFuseShardedIncrementalAllMethods(t *testing.T) {
@@ -19,7 +19,7 @@ func TestFuseShardedIncrementalAllMethods(t *testing.T) {
 	for _, m := range fusion.Methods() {
 		method := m.Name()
 		opts := FuseOptions{Sources: w.fused, Shards: 4, Planner: &Planner{Mode: PlannerAuto}}
-		got, state, err := FuseShardedStateful(w.ds, w.snaps[0], method, opts)
+		got, state, err := FuseStateful(w.ds, w.snaps[0], method, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestFuseShardedIncrementalAllMethods(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, state, err = FuseShardedIncremental(w.ds, state, delta, method, opts)
+			got, state, err = FuseIncremental(w.ds, state, delta, method, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,9 +55,9 @@ func TestFuseShardedIncrementalAllMethods(t *testing.T) {
 }
 
 // TestShardedWarmAllAccuMethods runs every warm-capable ACCU method over
-// the Stock stream with a positive tolerance on both layouts and demands
-// bitwise-equal answers day by day — the sharded warm path is the flat
-// warm path, shard-merged.
+// the Stock stream with a positive tolerance at one shard and at four
+// and demands bitwise-equal answers day by day — the sharded warm path
+// is the flat warm path, shard-merged.
 func TestShardedWarmAllAccuMethods(t *testing.T) {
 	const days = 3
 	const tol = 0.05
@@ -69,7 +69,7 @@ func TestShardedWarmAllAccuMethods(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, shd, err := FuseShardedStateful(w.ds, w.snaps[0], method, FuseOptions{Sources: w.fused, Shards: 4})
+		_, shd, err := FuseStateful(w.ds, w.snaps[0], method, FuseOptions{Sources: w.fused, Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestShardedWarmAllAccuMethods(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotShd, nextShd, err := FuseShardedIncremental(w.ds, shd, delta, method, shdOpts)
+			gotShd, nextShd, err := FuseIncremental(w.ds, shd, delta, method, shdOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,58 +184,62 @@ func TestForcedPathErrors(t *testing.T) {
 		t.Fatal("forced warm accepted at zero tolerance")
 	}
 	// Same contract on the sharded layout.
-	_, shd, err := FuseShardedStateful(w.ds, w.snaps[0], "AccuPr", FuseOptions{Sources: w.fused, Shards: 4})
+	_, shd, err := FuseStateful(w.ds, w.snaps[0], "AccuPr", FuseOptions{Sources: w.fused, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	badShd := FuseOptions{Sources: w.fused, Shards: 4,
 		Planner: &Planner{Mode: PlannerForced, ForcePath: ModeLocal}}
-	if _, _, err := FuseShardedIncremental(w.ds, shd, delta, "AccuPr", badShd); err == nil {
+	if _, _, err := FuseIncremental(w.ds, shd, delta, "AccuPr", badShd); err == nil {
 		t.Fatal("forced local accepted on the sharded layout")
 	}
 }
 
-// TestFuseAutoLayouts covers the layout half of the planner: explicit
-// shards win, an arena budget below the world's estimate lays out
-// sharded with a resident bound, and no budget stays flat. All three
-// produce bit-identical answers, and FuseAutoIncremental advances each
-// with the plan recorded.
+// TestFuseAutoLayouts covers the layout half of the planner through
+// FuseStateful: explicit shards win, an arena budget below the world's
+// estimate lays out sharded with a resident bound, and no budget stays
+// one shard, recorded as the flat layout. All produce bit-identical
+// answers, and FuseIncremental advances each with the plan recorded.
 func TestFuseAutoLayouts(t *testing.T) {
 	const days = 3
 	w := streamWorlds(t, days)[0]
 	cases := []struct {
-		name   string
-		opts   FuseOptions
-		layout PlanLayout
+		name     string
+		opts     FuseOptions
+		layout   PlanLayout
+		resident int
 	}{
-		{"flat default", FuseOptions{Sources: w.fused}, LayoutFlat},
-		{"explicit shards", FuseOptions{Sources: w.fused, Shards: 4}, LayoutSharded},
+		{"flat default", FuseOptions{Sources: w.fused}, LayoutFlat, 0},
+		{"explicit shards", FuseOptions{Sources: w.fused, Shards: 4}, LayoutSharded, 0},
 		{"arena budget", FuseOptions{Sources: w.fused,
-			Planner: &Planner{Mode: PlannerAuto, ArenaBudgetBytes: 64 << 10}}, LayoutSharded},
+			Planner: &Planner{Mode: PlannerAuto, ArenaBudgetBytes: 64 << 10}}, LayoutSharded, 1},
 		{"huge budget stays flat", FuseOptions{Sources: w.fused,
-			Planner: &Planner{Mode: PlannerAuto, ArenaBudgetBytes: 1 << 40}}, LayoutFlat},
+			Planner: &Planner{Mode: PlannerAuto, ArenaBudgetBytes: 1 << 40}}, LayoutFlat, 0},
 	}
 	want0, err := Fuse(w.ds, w.snaps[0], "AccuPr", FuseOptions{Sources: w.fused})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range cases {
-		got, st, err := FuseAuto(w.ds, w.snaps[0], "AccuPr", tc.opts)
+		got, st, err := FuseStateful(w.ds, w.snaps[0], "AccuPr", tc.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if st.Layout() != tc.layout {
-			t.Fatalf("%s: layout %s, want %s", tc.name, st.Layout(), tc.layout)
+		if sharded := st.st.Sharded.NumShards() > 1; sharded != (tc.layout == LayoutSharded) {
+			t.Fatalf("%s: %d shards, want layout %s", tc.name, st.st.Sharded.NumShards(), tc.layout)
 		}
 		if !reflect.DeepEqual(got, want0) {
 			t.Fatalf("%s: day 0 answers differ from Fuse", tc.name)
+		}
+		if got, err := Fuse(w.ds, w.snaps[0], "AccuPr", tc.opts); err != nil || !reflect.DeepEqual(got, want0) {
+			t.Fatalf("%s: Fuse under the same options differs (%v)", tc.name, err)
 		}
 		for d := 1; d < days; d++ {
 			delta, err := w.snaps[d-1].Diff(w.snaps[d])
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, st, err = FuseAutoIncremental(w.ds, st, delta, "AccuPr", tc.opts)
+			got, st, err = FuseIncremental(w.ds, st, delta, "AccuPr", tc.opts)
 			if err != nil {
 				t.Fatalf("%s day %d: %v", tc.name, d, err)
 			}
@@ -244,34 +248,72 @@ func TestFuseAutoLayouts(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s day %d: auto answers differ from full re-fusion", tc.name, d)
+				t.Fatalf("%s day %d: answers differ from full re-fusion", tc.name, d)
 			}
-			if st.Plan() == nil || st.Plan().Layout != tc.layout {
-				t.Fatalf("%s day %d: plan not recorded (%+v)", tc.name, d, st.Plan())
+			plan := st.Stats.Plan
+			if plan == nil || plan.Layout != tc.layout || plan.ResidentShards != tc.resident {
+				t.Fatalf("%s day %d: plan %+v, want layout %s with %d resident", tc.name, d, plan, tc.layout, tc.resident)
 			}
 		}
 	}
 }
 
-// TestFuseAutoGuards checks the layout-mismatch misuse error.
+// TestFuseAutoGuards checks the layout-mismatch misuse errors: a state's
+// layout is fixed when it is built.
 func TestFuseAutoGuards(t *testing.T) {
 	w := streamWorlds(t, 2)[0]
 	delta, err := w.snaps[0].Diff(w.snaps[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := FuseAutoIncremental(w.ds, nil, delta, "AccuPr", FuseOptions{}); err == nil {
-		t.Fatal("nil auto state accepted")
+	if _, _, err := FuseIncremental(w.ds, nil, delta, "AccuPr", FuseOptions{}); err == nil {
+		t.Fatal("nil state accepted")
 	}
-	_, st, err := FuseAuto(w.ds, w.snaps[0], "AccuPr", FuseOptions{Sources: w.fused})
+	_, st, err := FuseStateful(w.ds, w.snaps[0], "AccuPr", FuseOptions{Sources: w.fused})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Layout() != LayoutFlat {
-		t.Fatalf("layout %s, want flat", st.Layout())
+	if n := st.st.Sharded.NumShards(); n != 1 {
+		t.Fatalf("%d shards, want the one-shard layout", n)
 	}
-	if _, _, err := FuseAutoIncremental(w.ds, st, delta, "AccuPr",
+	if _, _, err := FuseIncremental(w.ds, st, delta, "AccuPr",
 		FuseOptions{Sources: w.fused, Shards: 4}); err == nil {
-		t.Fatal("flat auto state accepted Shards > 1")
+		t.Fatal("one-shard state accepted Shards > 1")
+	}
+}
+
+// TestArenaBudgetCapsShards: an arena budget smaller than one item must
+// not lay out more shards than there are items, and the capped layout
+// still answers bit-identically to Fuse, on build and on advance.
+func TestArenaBudgetCapsShards(t *testing.T) {
+	ds, day0, deltas := optionsWorld(t)
+	opts := FuseOptions{Planner: &Planner{ArenaBudgetBytes: 1}}
+	got, st, err := FuseStateful(ds, day0, "AccuPr", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, items := st.st.Sharded.NumShards(), day0.NumItems(); n < 2 || n > items {
+		t.Fatalf("a 1-byte budget laid out %d shards over %d items", n, items)
+	}
+	want, err := Fuse(ds, day0, "AccuPr", FuseOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("capped layout answers differ from Fuse")
+	}
+	got, _, err = FuseIncremental(ds, st, deltas[0], "AccuPr", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	day1, err := day0.Apply(deltas[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err = Fuse(ds, day1, "AccuPr", FuseOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("capped layout advance differs from Fuse")
 	}
 }

@@ -466,8 +466,9 @@ func benchIncrementalFull(b *testing.B, method string) {
 	}
 }
 
-// benchIncrementalDelta advances a fused state over the delta stream,
-// paying snapshot materialisation (Apply) along the way.
+// benchIncrementalDelta advances a one-shard (flat layout) fused state
+// over the delta stream, paying snapshot materialisation (Apply) along
+// the way.
 func benchIncrementalDelta(b *testing.B, method string) {
 	ds, snaps, deltas := churnWorld(b)
 	m, ok := fusion.ByName(method)
@@ -478,7 +479,10 @@ func benchIncrementalDelta(b *testing.B, method string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := fusion.NewState(ds, snaps[0], nil, m, fusion.Options{})
+		st, err := fusion.NewState(ds, snaps[0], nil, model.RangeShards(1, snaps[0].NumItems()), m, fusion.Options{}, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, dl := range deltas {
 			next, stats, err := st.Advance(ds, dl, fusion.Options{}, fusion.IncrementalOptions{})
 			if err != nil {
@@ -546,8 +550,9 @@ func BenchmarkShardedFusionBudget(b *testing.B) { benchShardedFusion(b, 8, 1) }
 // The ShardedIncremental pair composes sharding with the delta stream
 // on the low-churn world, both sides sharded so the pair isolates the
 // delta-routing win: Full re-fuses every day's snapshot from scratch
-// over the shard set; Delta advances a ShardedState over each day's
-// split deltas (per-shard dirty worklists, one trust merge per day).
+// over the shard set; Delta advances an eight-shard State over each
+// day's split deltas (per-shard dirty worklists, one trust merge per
+// day).
 // The flat-engine counterpart is the BenchmarkIncrementalAccuPr* pair.
 func BenchmarkShardedIncrementalFull(b *testing.B) {
 	ds, snaps, _ := churnWorld(b)
@@ -576,7 +581,7 @@ func BenchmarkShardedIncrementalDelta(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := fusion.NewShardedState(ds, snaps[0], nil, spec, m, fusion.Options{}, 0)
+		st, err := fusion.NewState(ds, snaps[0], nil, spec, m, fusion.Options{}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -609,7 +614,7 @@ func BenchmarkShardedWarmAdvance(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := fusion.NewShardedState(ds, snaps[0], nil, spec, m, fusion.Options{}, 0)
+		st, err := fusion.NewState(ds, snaps[0], nil, spec, m, fusion.Options{}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -774,7 +779,7 @@ func serveBenchWorld(b *testing.B) (http.Handler, []string, *serve.View) {
 	env := benchEnviron(b)
 	d := env.Stock()
 	serveBenchOnce.Do(func() {
-		eng, err := serve.NewFlatEngine(d.DS, d.Snap, d.Fused, "AccuPr", fusion.Options{})
+		eng, err := serve.NewEngine(d.DS, d.Snap, d.Fused, "AccuPr", serve.EngineOptions{})
 		if err != nil {
 			panic(err)
 		}

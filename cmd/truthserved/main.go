@@ -250,7 +250,7 @@ func main() {
 				run.Version, run.Day, day0.Day, day0.Day+len(deltas))
 		default:
 			steps := run.Day - day0.Day
-			var eng serve.Engine
+			var eng *serve.Engine
 			caughtUp := true
 			if steps < len(deltas) || ingestEnabled {
 				if eng, err = serve.NewEngine(ds, day0, nil, *method, eo); err != nil {

@@ -58,7 +58,7 @@ func main() {
 	// resident at a time — the memory-budget mode for worlds whose flat
 	// arena would not fit.
 	opts := td.FuseOptions{Shards: 4, MaxResidentShards: 1}
-	answers, state, err := td.FuseShardedStateful(ds, day0, "AccuPr", opts)
+	answers, state, err := td.FuseStateful(ds, day0, "AccuPr", opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,8 +68,9 @@ func main() {
 
 	// Day two arrives as a claim delta: it splits by item shard, every
 	// shard re-bucketizes only its own dirty items, and one trust merge
-	// finishes the day. Answers equal a full fuse of the day-two world.
-	answers, state, err = td.FuseShardedIncremental(ds, state, deltas[0], "AccuPr", opts)
+	// finishes the day. The state keeps its layout, and the answers equal
+	// a full fuse of the day-two world.
+	answers, state, err = td.FuseIncremental(ds, state, deltas[0], "AccuPr", opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,17 +45,15 @@ const (
 )
 
 // FusedState is the reusable output of FuseStateful / FuseIncremental: the
-// snapshot it reflects, the fused problem, source trusts and per-item
-// posteriors. States are immutable — advancing one returns a fresh state,
-// so earlier days can be re-advanced (e.g. to branch a what-if delta).
+// fused problem over its item shards (one shard is the flat layout), the
+// source trusts and per-item posteriors. States are immutable — advancing
+// one returns a fresh state, so earlier days can be re-advanced (e.g. to
+// branch a what-if delta).
 type FusedState struct {
 	st *fusion.State
 	// Stats describes the fuse that produced this state.
 	Stats IncrementalStats
 }
-
-// Snapshot returns the snapshot this state reflects.
-func (s *FusedState) Snapshot() *Snapshot { return s.st.Snap }
 
 // Method returns the fusion method name the state was built with.
 func (s *FusedState) Method() string { return s.st.Method().Name() }
@@ -63,16 +61,23 @@ func (s *FusedState) Method() string { return s.st.Method().Name() }
 // Result exposes the underlying fusion result (trust vector, rounds...).
 func (s *FusedState) Result() *FusionResult { return s.st.Result }
 
+// PeakResidentBytes reports the largest total of simultaneously resident
+// shard-arena bytes the state's engine has observed — the ceiling
+// MaxResidentShards bounds.
+func (s *FusedState) PeakResidentBytes() int64 { return s.st.Sharded.PeakResidentBytes() }
+
 // FuseStateful fuses a snapshot like Fuse and additionally returns the
-// reusable state that FuseIncremental advances over deltas. Sampled-trust
-// runs (FuseOptions.Gold) have no estimation loop to reuse and are not
-// supported here — use Fuse for those.
+// reusable state that FuseIncremental advances over deltas. The layout is
+// fixed here, once: FuseOptions.Shards range shards when Shards > 1;
+// otherwise, when the planner sets ArenaBudgetBytes and the world's
+// estimated flat arena exceeds it, enough range shards that one shard's
+// arena fits the budget (at most one per item), kept resident one at a
+// time; otherwise one shard. Answers are bit-identical under every layout.
+// Sampled-trust runs (FuseOptions.Gold) have no estimation loop to reuse
+// and are not supported here — use Fuse for those.
 func FuseStateful(ds *Dataset, snap *Snapshot, method string, opts FuseOptions) ([]Answer, *FusedState, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, nil, err
-	}
-	if opts.Shards > 1 {
-		return nil, nil, fmt.Errorf("truthdiscovery: FuseStateful runs the flat engine and would ignore Shards = %d; use FuseShardedStateful", opts.Shards)
 	}
 	m, ok := fusion.ByName(method)
 	if !ok {
@@ -81,32 +86,37 @@ func FuseStateful(ds *Dataset, snap *Snapshot, method string, opts FuseOptions) 
 	if opts.Gold != nil {
 		return nil, nil, fmt.Errorf("truthdiscovery: FuseStateful does not support sampled trust (Gold); use Fuse")
 	}
-	st := fusion.NewState(ds, snap, opts.Sources, m, fusion.Options{
+	spec, maxResident := fusion.ResolveLayout(snap, opts.Shards, opts.MaxResidentShards, opts.Planner)
+	st, err := fusion.NewState(ds, snap, opts.Sources, spec, m, fusion.Options{
 		KnownGroups: opts.KnownCopyGroups,
 		Parallelism: opts.Parallelism,
-	})
-	state := &FusedState{st: st, Stats: IncrementalStats{
-		Mode: ModeFull, DirtyItems: len(st.Problem.Items), TotalItems: len(st.Problem.Items),
-	}}
-	return fusion.AnswersFor(ds, st.Problem, st.Result), state, nil
+	}, maxResident)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := st.Sharded.NumItems()
+	state := &FusedState{st: st, Stats: IncrementalStats{Mode: ModeFull, DirtyItems: n, TotalItems: n}}
+	return st.Answers(ds), state, nil
 }
 
 // FuseIncremental advances a previous fused state over a delta and returns
 // the new answers plus the new state. method must match the state's; the
-// explicit parameter keeps call sites self-describing.
+// explicit parameter keeps call sites self-describing. The delta splits by
+// item shard, every shard applies its slice and maintains its problem from
+// its own dirty worklist, and the method re-runs with the single
+// cross-shard trust merge.
 //
-// With a zero FuseOptions.TrustTolerance the answers are bit-identical to
-// Fuse on the delta's target snapshot. A positive tolerance additionally
-// enables the dirty-only warm path for the ACCU-family methods: the
-// vote/posterior phase re-runs only for items whose claim sets changed,
-// warm-started from the previous trust, with an automatic fallback to full
-// re-fusion as soon as any source's trust drifts past the tolerance.
+// The state's layout is fixed: a zero FuseOptions.Shards or
+// MaxResidentShards keeps it, and any other value must match it. With a
+// zero TrustTolerance the answers are bit-identical to Fuse on the
+// delta's target snapshot. A positive tolerance additionally enables the
+// dirty-only warm path for the ACCU-family methods: the vote/posterior
+// phase re-runs only for items whose claim sets changed, warm-started from
+// the previous trust, with an automatic fallback to full re-fusion as soon
+// as any source's trust drifts past the tolerance.
 func FuseIncremental(ds *Dataset, prev *FusedState, delta *Delta, method string, opts FuseOptions) ([]Answer, *FusedState, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, nil, err
-	}
-	if opts.Shards > 1 {
-		return nil, nil, fmt.Errorf("truthdiscovery: FuseIncremental runs the flat engine and would ignore Shards = %d; use FuseShardedIncremental", opts.Shards)
 	}
 	if prev == nil || prev.st == nil {
 		return nil, nil, fmt.Errorf("truthdiscovery: FuseIncremental needs a state from FuseStateful")
@@ -117,10 +127,19 @@ func FuseIncremental(ds *Dataset, prev *FusedState, delta *Delta, method string,
 	if opts.Gold != nil {
 		return nil, nil, fmt.Errorf("truthdiscovery: FuseIncremental does not support sampled trust (Gold); use Fuse")
 	}
-	// The source roster was frozen into the state at FuseStateful time; a
-	// different roster here would be silently ignored, so reject it.
-	if opts.Sources != nil && !sameSources(opts.Sources, prev.st.Problem.SourceIDs) {
+	// The roster and the layout were frozen into the state at FuseStateful
+	// time; a different one here would be silently ignored, so reject it.
+	sp := prev.st.Sharded
+	if opts.Sources != nil && !sameSources(opts.Sources, sp.SourceIDs) {
 		return nil, nil, fmt.Errorf("truthdiscovery: FuseIncremental cannot change the source roster; start a new state with FuseStateful")
+	}
+	if opts.Shards != 0 && opts.Shards != sp.NumShards() {
+		return nil, nil, fmt.Errorf("truthdiscovery: FuseIncremental cannot change the layout: the state has %d shards, not Shards = %d (0 keeps the state's layout; start a new state with FuseStateful)",
+			sp.NumShards(), opts.Shards)
+	}
+	if opts.MaxResidentShards != 0 && opts.MaxResidentShards != sp.MaxResident {
+		return nil, nil, fmt.Errorf("truthdiscovery: FuseIncremental cannot change the layout: the state keeps %d shards resident, not MaxResidentShards = %d (0 keeps the state's bound; start a new state with FuseStateful)",
+			sp.MaxResident, opts.MaxResidentShards)
 	}
 	st, stats, err := prev.st.Advance(ds, delta, fusion.Options{
 		KnownGroups: opts.KnownCopyGroups,
@@ -130,7 +149,7 @@ func FuseIncremental(ds *Dataset, prev *FusedState, delta *Delta, method string,
 		return nil, nil, err
 	}
 	state := &FusedState{st: st, Stats: stats}
-	return fusion.AnswersFor(ds, st.Problem, st.Result), state, nil
+	return st.Answers(ds), state, nil
 }
 
 // sameSources reports whether two rosters are element-wise equal.

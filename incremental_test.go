@@ -256,7 +256,10 @@ func TestBuilderStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	day1 := state.Snapshot()
+	day1, err := day0.Apply(deltas[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	want, err := Fuse(ds, day1, "AccuPr", FuseOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -303,5 +306,45 @@ func TestFuseIncrementalGuards(t *testing.T) {
 	gold := model.NewTruthTable()
 	if _, _, err := FuseStateful(w.ds, w.snaps[0], "Vote", FuseOptions{Gold: gold}); err == nil {
 		t.Fatal("sampled trust accepted by FuseStateful")
+	}
+
+	// The layout is frozen into the state too: zero keeps it, the state's
+	// own values are accepted, and any other shard count or resident bound
+	// is an error rather than silently ignored — whether the layout came
+	// from Shards or from the planner's arena budget.
+	layouts := []struct {
+		name  string
+		built FuseOptions
+		ok    []FuseOptions
+		bad   []FuseOptions
+	}{
+		{"one shard", FuseOptions{Sources: w.fused},
+			[]FuseOptions{{}, {Shards: 1}},
+			[]FuseOptions{{Shards: 2}, {Shards: 4, MaxResidentShards: 1}}},
+		{"four shards", FuseOptions{Sources: w.fused, Shards: 4},
+			[]FuseOptions{{}, {Shards: 4}},
+			[]FuseOptions{{Shards: 8, MaxResidentShards: 2}, {Shards: 2}, {Shards: 1}, {Shards: 4, MaxResidentShards: 2}}},
+		{"four shards, two resident", FuseOptions{Sources: w.fused, Shards: 4, MaxResidentShards: 2},
+			[]FuseOptions{{}, {Shards: 4, MaxResidentShards: 2}},
+			[]FuseOptions{{Shards: 4, MaxResidentShards: 1}, {Shards: 2}}},
+		{"arena budget", FuseOptions{Sources: w.fused, Planner: &Planner{ArenaBudgetBytes: 64 << 10}},
+			[]FuseOptions{{Planner: &Planner{ArenaBudgetBytes: 64 << 10}}},
+			[]FuseOptions{{Shards: 1}, {Shards: 1, Planner: &Planner{ArenaBudgetBytes: 64 << 10}}}},
+	}
+	for _, tc := range layouts {
+		_, st, err := FuseStateful(w.ds, w.snaps[0], "Vote", tc.built)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, o := range tc.ok {
+			if _, _, err := FuseIncremental(w.ds, st, delta, "Vote", o); err != nil {
+				t.Fatalf("%s: advancing with %+v rejected: %v", tc.name, o, err)
+			}
+		}
+		for _, o := range tc.bad {
+			if _, _, err := FuseIncremental(w.ds, st, delta, "Vote", o); err == nil {
+				t.Fatalf("%s: advancing with Shards %d, MaxResidentShards %d accepted", tc.name, o.Shards, o.MaxResidentShards)
+			}
+		}
 	}
 }

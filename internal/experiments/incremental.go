@@ -81,7 +81,11 @@ func incrementalDomain(r *report.Report, d *Domain) bool {
 
 		// Incremental path: fuse day 0, then advance over the deltas.
 		start = time.Now()
-		st := fusion.NewState(d.DS, snaps[0], d.Fused, m, opts)
+		st, err := fusion.NewState(d.DS, snaps[0], d.Fused, model.RangeShards(1, snaps[0].NumItems()), m, opts, 0)
+		if err != nil {
+			r.Note("%s/%s: fused state failed: %v", d.Name, name, err)
+			return false
+		}
 		identical := sameChosen(st.Result, full[0])
 		var dirty, total int
 		for day := 1; day < d.Days; day++ {

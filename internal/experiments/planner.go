@@ -99,7 +99,11 @@ func plannedStream(r *report.Report, d *Domain, snaps []*model.Snapshot, deltas 
 	m fusion.Method, opts fusion.Options, inc fusion.IncrementalOptions) (time.Duration, string, float64, bool) {
 
 	start := time.Now()
-	st := fusion.NewState(d.DS, snaps[0], d.Fused, m, opts)
+	st, err := fusion.NewState(d.DS, snaps[0], d.Fused, model.RangeShards(1, snaps[0].NumItems()), m, opts, 0)
+	if err != nil {
+		r.Note("%s/%s: fused state failed: %v", d.Name, m.Name(), err)
+		return 0, "", 0, false
+	}
 	counts := map[string]int{}
 	var order []string
 	var churn float64

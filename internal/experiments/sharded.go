@@ -72,7 +72,7 @@ func ShardedFusion(e *Env) *report.Report {
 	}
 	r.Note("Sharded and budgeted answers/trust are verified identical to the flat engine;")
 	r.Note("the budgeted column keeps at most %d of %d shard arenas resident, rebuilding the rest per pass.", budget, shards)
-	r.Note("Sharded deltas: the incremental exhibit's streaming path composes with this engine via fusion.ShardedState.")
+	r.Note("Sharded deltas: the incremental exhibit's streaming path composes with this engine via fusion.State.")
 	return r
 }
 
@@ -132,7 +132,7 @@ func shardedIncrementalDomain(r *report.Report, d *Domain, shards int) bool {
 		fullDur := time.Since(start)
 
 		start = time.Now()
-		st, err := fusion.NewShardedState(d.DS, snaps[0], d.Fused, spec, m, opts, 0)
+		st, err := fusion.NewState(d.DS, snaps[0], d.Fused, spec, m, opts, 0)
 		if err != nil {
 			r.Note("%s/%s: sharded state failed: %v", d.Name, name, err)
 			return false

@@ -24,12 +24,13 @@ func allocProblem(t *testing.T) *Problem {
 }
 
 // warmRoundAllocs returns the per-round allocation rate of the warm
-// iteration: the difference in Run's allocation count between a 12-round
+// iteration: the difference in run's allocation count between a 12-round
 // and a 2-round serial run, divided by the extra rounds. Zero means the
 // steady-state iteration allocates nothing after its first rounds.
 // Epsilon is driven (effectively) to zero so the iteration cannot
-// converge early.
-func warmRoundAllocs(t *testing.T, m Method, p *Problem) float64 {
+// converge early. run executes the method under opts and returns the
+// rounds it ran.
+func warmRoundAllocs(t *testing.T, name string, run func(opts Options) int) float64 {
 	t.Helper()
 	opts := func(rounds int) Options {
 		return Options{Parallelism: 1, MaxRounds: rounds, Epsilon: 1e-300}
@@ -37,22 +38,30 @@ func warmRoundAllocs(t *testing.T, m Method, p *Problem) float64 {
 	// Some configs hit an exact floating-point fixpoint before 12 rounds
 	// (clamped trust entries stop moving); measure up to whatever round
 	// count actually executes.
-	hi := m.Run(p, opts(12)).Rounds
+	hi := run(opts(12))
 	if hi < 4 {
-		t.Fatalf("%s: exact fixpoint after %d rounds; too few to differentiate", m.Name(), hi)
+		t.Fatalf("%s: exact fixpoint after %d rounds; too few to differentiate", name, hi)
 	}
-	short := testing.AllocsPerRun(5, func() { m.Run(p, opts(2)) })
-	long := testing.AllocsPerRun(5, func() { m.Run(p, opts(hi)) })
+	short := testing.AllocsPerRun(5, func() { run(opts(2)) })
+	long := testing.AllocsPerRun(5, func() { run(opts(hi)) })
 	return (long - short) / float64(hi-2)
 }
 
 // TestWarmRoundsAllocationFree asserts the tentpole property for every
 // iterative method of the roster: ten extra warm rounds on the serial
-// path allocate zero bytes. (AccuCopy is excluded — its detection rounds
+// path allocate zero bytes, both in the flat Method.Run loops and on the
+// round protocol's executor over the one-shard layout — the path every
+// state advance runs. (AccuCopy is excluded — its detection rounds
 // rebuild the copy-weight structures until the freeze — and Vote has no
 // rounds; see TestVoteAllocationProfile.)
 func TestWarmRoundsAllocationFree(t *testing.T) {
-	p := allocProblem(t)
+	ds, snaps := incWorld(t, 3, 1)
+	needs := BuildOptions{NeedSimilarity: true, NeedFormat: true}
+	p := Build(ds, snaps[0], nil, needs)
+	sp, err := BuildSharded(ds, snaps[0], nil, model.RangeShards(1, snaps[0].NumItems()), needs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{
 		"Hub", "AvgLog", "Invest", "PooledInvest",
 		"Cosine", "2-Estimates", "3-Estimates",
@@ -63,11 +72,22 @@ func TestWarmRoundsAllocationFree(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown method %s", name)
 		}
+		flat := func(opts Options) int { return m.Run(p, opts).Rounds }
+		exec := func(opts Options) int {
+			res, err := sp.Run(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Rounds
+		}
 		// A strict zero would be ideal, but AllocsPerRun occasionally
 		// reads an object or two of runtime jitter across a whole run; a
 		// genuine per-round allocation shows up as a rate >= 1.
-		if rate := warmRoundAllocs(t, m, p); rate >= 0.5 {
+		if rate := warmRoundAllocs(t, name, flat); rate >= 0.5 {
 			t.Errorf("%s: warm rounds allocate %.2f objects/round, want 0", name, rate)
+		}
+		if rate := warmRoundAllocs(t, name+" (executor)", exec); rate >= 0.5 {
+			t.Errorf("%s: executor rounds allocate %.2f objects/round, want 0", name, rate)
 		}
 	}
 }

@@ -62,19 +62,16 @@ type DistPeer interface {
 }
 
 // BuildShardedOwned builds the shard problems of shards [lo, hi) only —
-// one worker's owned slice of the spec. Range sharding is required: the
-// owned item set must be a contiguous run of global item order so that
-// chaining workers in shard order reproduces the flat fold association.
-// The assembled ClaimsPerSource covers only the owned shards; distributed
-// runs use the coordinator's global sum instead (NewDistExec).
+// one worker's owned slice of the spec, a contiguous run of global item
+// order, so chaining workers in shard order reproduces the flat fold
+// association. The assembled ClaimsPerSource covers only the owned
+// shards; distributed runs use the coordinator's global sum instead
+// (NewDistExec).
 func BuildShardedOwned(ds *model.Dataset, snap *model.Snapshot, sources []model.SourceID,
 	spec model.ShardSpec, needs BuildOptions, lo, hi int) (*ShardedProblem, error) {
 
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	if spec.Kind != model.ShardByRange {
-		return nil, fmt.Errorf("fusion: distributed workers need range sharding (worker order must equal item order), got %v", spec.Kind)
 	}
 	if lo < 0 || hi > spec.Shards || lo >= hi {
 		return nil, fmt.Errorf("fusion: owned shard range [%d, %d) outside [0, %d)", lo, hi, spec.Shards)
@@ -211,6 +208,11 @@ func DistCheck(m Method, opts Options) error {
 // chosen buckets) survives between calls so LocalResult can render the
 // answers after the run.
 //
+// Every kernel, fold and shard pass is built once per executor and reads
+// the round's trust state and accumulators from the executor's fields,
+// as the flat loops build their phase closures once per run: a warm
+// round allocates nothing.
+//
 // Over a memory budget (some shard arenas evicted), Phase defers its
 // pass: the next Phase, MinMax, Rescale, LocalResult or copy-detection
 // step runs it first, and Fold runs it in the same shard-by-shard sweep
@@ -228,7 +230,30 @@ type DistExec struct {
 	aux    []voteSpace // INVEST invested space
 	temps  []workerRows
 
-	pending func(k int, p *Problem, par int) // deferred phase (budget mode)
+	// The round's inputs. Phase sets trust and byKey (the kernels read
+	// them, also when a deferred pass runs later), Fold sets the
+	// accumulators and the fold's own trust state.
+	trust     []float64
+	byKey     [][]float64
+	acc       [][]float64
+	foldByKey [][]float64
+
+	// kernels[step] scores one item (nil where the step is undefined);
+	// kernel is the current step's. pass runs it over one shard, fanning
+	// out through scan when it has workers to fan out to. folds[f]
+	// consumes one item into acc, which must hold accs[f] vectors.
+	kernels [2]func(k int, p *Problem, i int, tmp []float64)
+	kernel  func(k int, p *Problem, i int, tmp []float64)
+	pass    func(k int, p *Problem, par int)
+	scan    shardScan
+	folds   [2]func(k int, p *Problem, i, g int)
+	accs    [2]int
+	pending bool // a deferred phase pass (budget mode)
+
+	// Rescale's span body and its inputs.
+	rescaleBody          func(a, b int)
+	rescaleXs            []float64
+	rescaleLo, rescaleHi float64
 
 	// ACCU family state.
 	probs   [][]float64
@@ -250,6 +275,36 @@ type DistExec struct {
 	// cps is the global per-source claim count (the coordinator's sum on
 	// a worker), read by the INVEST kernels and the AVGLOG tail.
 	cps []int
+}
+
+// shardScan is the slot of a fanned-out shard pass: the pass records the
+// shard's problem, item list, temp rows and kernel here, then fans the
+// slot's body (bound once per executor) out over the items. Only a pass
+// with more than one worker fans out, and those run one shard at a time
+// (concurrent shard phases each get one worker), so one slot serves
+// every shard.
+type shardScan struct {
+	k      int
+	p      *Problem
+	idx    []int
+	rows   [][]float64
+	kernel func(k int, p *Problem, i int, tmp []float64)
+	body   func(worker, lo, hi int)
+}
+
+// run scores items [lo, hi) of the pass (through idx after a warm seed).
+func (s *shardScan) run(worker, lo, hi int) {
+	var tmp []float64
+	if s.rows != nil {
+		tmp = s.rows[worker]
+	}
+	for j := lo; j < hi; j++ {
+		i := j
+		if s.idx != nil {
+			i = s.idx[j]
+		}
+		s.kernel(s.k, s.p, i, tmp)
+	}
 }
 
 // NewDistExec prepares a worker executor for one split run. globalCPS is
@@ -281,6 +336,7 @@ func newExec(sp *ShardedProblem, m Method, opts Options, cps []int, dirty [][]in
 	switch kind {
 	case dkVote:
 		// The dominant bucket is bucket 0; no rounds, no state.
+		return e, nil
 	case dkHub, dkAvgLog, dkTwoEst:
 		e.spaces = sp.newSpaces()
 	case dkInvest, dkPooledInvest:
@@ -301,7 +357,7 @@ func newExec(sp *ShardedProblem, m Method, opts Options, cps []int, dirty [][]in
 		}
 	case dkAccu:
 		e.temps = sp.newPartTemps(opts.Parallelism)
-		e.numKeys, e.keyAt = shardedKeySetup(sp, cfg)
+		e.keySetup()
 		e.tables = newAccuTables(n, e.numKeys, opts, cfg)
 		if cfg.popularity {
 			e.popTabs = make([]*popTable, len(sp.parts))
@@ -315,8 +371,8 @@ func newExec(sp *ShardedProblem, m Method, opts Options, cps []int, dirty [][]in
 		// order — the sharded analogue of newProbRows.
 		for _, pt := range sp.parts {
 			flat := make([]float64, pt.numBuckets())
-			for i, g := range pt.gidx {
-				e.probs[g] = flat[pt.off[i]:pt.off[i+1]:pt.off[i+1]]
+			for i := 0; i < pt.n; i++ {
+				e.probs[pt.base+i] = flat[pt.off[i]:pt.off[i+1]:pt.off[i+1]]
 			}
 		}
 		if cfg.copies {
@@ -332,92 +388,81 @@ func newExec(sp *ShardedProblem, m Method, opts Options, cps []int, dirty [][]in
 			})
 		}
 	}
+	e.bind()
 	return e, nil
 }
 
-// shardedKeySetup resolves the trust key space over the shard set: the
-// global attribute table for the Attr variants, the globally renumbered
+// keySetup resolves the ACCU trust key space over the shard set: the
+// global attribute table for the Attr variants, the globally numbered
 // category table for the Cat extension, a single key otherwise.
-func shardedKeySetup(sp *ShardedProblem, cfg accuConfig) (numKeys int, keyAt func(k int, p *Problem, i int) int32) {
-	keyAt = func(int, *Problem, int) int32 { return 0 }
+func (e *DistExec) keySetup() {
+	e.keyAt = func(int, *Problem, int) int32 { return 0 }
 	switch {
-	case cfg.perAttr:
-		numKeys = sp.NumAttrs
-		keyAt = func(k int, p *Problem, i int) int32 { return int32(p.Items[i].Attr) }
-	case cfg.perCat:
-		numKeys = len(sp.CatNames)
-		if numKeys == 0 {
-			numKeys = 1
+	case e.cfg.perAttr:
+		e.numKeys = e.sp.NumAttrs
+		e.keyAt = func(k int, p *Problem, i int) int32 { return int32(p.Items[i].Attr) }
+	case e.cfg.perCat:
+		numCats, cats := e.sp.globalCats()
+		e.numKeys = max(numCats, 1)
+		if cats != nil {
+			e.keyAt = func(k int, p *Problem, i int) int32 { return cats[k][i] }
 		}
-		keyAt = func(k int, p *Problem, i int) int32 { return sp.parts[k].cats[i] }
-	}
-	return numKeys, keyAt
-}
-
-// flush runs a deferred phase.
-func (e *DistExec) flush() {
-	if e.pending != nil {
-		phase := e.pending
-		e.pending = nil
-		e.sp.sweep(e.opts.Parallelism, phase, nil)
 	}
 }
 
-// Phase runs one per-item scoring pass over the shards under the loop's
-// trust state (deferred over a memory budget, see DistExec).
-func (e *DistExec) Phase(step int, trust []float64, byKey [][]float64) error {
-	e.flush()
-	phase := e.phase(step, trust, byKey)
-	if phase == nil {
-		return fmt.Errorf("fusion: phase %d not defined for %s", step, e.name)
-	}
-	if e.sp.budget() {
-		e.pending = phase
-		return nil
-	}
-	e.sp.sweep(e.opts.Parallelism, phase, nil)
-	return nil
-}
-
-// phase refills the round's score tables from the trust state and
-// returns the shard pass of the step's kernel (nil when undefined).
-func (e *DistExec) phase(step int, trust []float64, byKey [][]float64) func(k int, p *Problem, par int) {
-	switch {
-	case e.kind == dkHub || e.kind == dkAvgLog:
-		return e.items(func(k int, p *Problem, i int, _ []float64) {
-			voteMassItem(&p.Items[i], trust, e.spaces[k].row(i))
-		})
-	case e.kind == dkInvest || e.kind == dkPooledInvest:
+// bind builds the executor's kernels, folds and shard passes, once.
+func (e *DistExec) bind() {
+	main := &e.kernels[DistPhaseMain]
+	trustFold := &e.folds[DistFoldTrust]
+	switch e.kind {
+	case dkHub, dkAvgLog:
+		*main = func(k int, p *Problem, i int, _ []float64) {
+			voteMassItem(&p.Items[i], e.trust, e.spaces[k].row(i))
+		}
+		e.accs[DistFoldTrust], *trustFold = 1, func(k int, p *Problem, i, _ int) {
+			voteMassFold(&p.Items[i], e.spaces[k].row(i), e.acc[0])
+		}
+	case dkInvest, dkPooledInvest:
 		pooled := e.kind == dkPooledInvest
-		investShares(e.shares, trust, e.cps)
-		return e.items(func(k int, p *Problem, i int, _ []float64) {
+		*main = func(k int, p *Problem, i int, _ []float64) {
 			investItem(&p.Items[i], e.shares, e.spaces[k].row(i), e.aux[k].row(i), pooled)
-		})
-	case e.kind == dkCosine:
-		cosineCubeTable(e.cube, trust)
-		return e.items(func(k int, p *Problem, i int, tmp []float64) {
+		}
+		e.accs[DistFoldTrust], *trustFold = 1, func(k int, p *Problem, i, _ int) {
+			investFold(&p.Items[i], e.shares, e.spaces[k].row(i), e.aux[k].row(i), e.acc[0])
+		}
+	case dkCosine:
+		*main = func(k int, p *Problem, i int, tmp []float64) {
 			cosineScoreItem(&p.Items[i], e.cube, e.spaces[k].row(i), tmp)
-		})
-	case e.kind == dkTwoEst:
-		return e.items(func(k int, p *Problem, i int, _ []float64) {
-			twoEstVoteItem(&p.Items[i], trust, e.spaces[k].row(i))
-		})
-	case e.kind == dkThreeEst && step == DistPhaseMain:
-		return e.items(func(k int, p *Problem, i int, _ []float64) {
-			threeEstSigmaItem(&p.Items[i], trust, e.spaces[k].row(i), e.eps[k].row(i))
-		})
-	case e.kind == dkThreeEst && step == DistPhaseEps:
-		return e.items(func(k int, p *Problem, i int, _ []float64) {
-			threeEstEpsItem(&p.Items[i], trust, e.spaces[k].row(i), e.eps[k].row(i))
-		})
-	case e.kind == dkTF:
-		tfLogTable(e.nlg, trust)
-		return e.items(func(k int, p *Problem, i int, tmp []float64) {
+		}
+		e.accs[DistFoldTrust], *trustFold = 3, func(k int, p *Problem, i, _ int) {
+			cosineFold(&p.Items[i], e.spaces[k].row(i), e.acc[0], e.acc[1], e.acc[2])
+		}
+	case dkTwoEst:
+		*main = func(k int, p *Problem, i int, _ []float64) {
+			twoEstVoteItem(&p.Items[i], e.trust, e.spaces[k].row(i))
+		}
+		e.accs[DistFoldTrust], *trustFold = 2, func(k int, p *Problem, i, _ int) {
+			twoEstFold(&p.Items[i], e.spaces[k].row(i), e.acc[0], e.acc[1])
+		}
+	case dkThreeEst:
+		*main = func(k int, p *Problem, i int, _ []float64) {
+			threeEstSigmaItem(&p.Items[i], e.trust, e.spaces[k].row(i), e.eps[k].row(i))
+		}
+		e.kernels[DistPhaseEps] = func(k int, p *Problem, i int, _ []float64) {
+			threeEstEpsItem(&p.Items[i], e.trust, e.spaces[k].row(i), e.eps[k].row(i))
+		}
+		e.accs[DistFoldTrust], *trustFold = 2, func(k int, p *Problem, i, _ int) {
+			threeEstFold(&p.Items[i], e.spaces[k].row(i), e.eps[k].row(i), e.acc[0], e.acc[1])
+		}
+	case dkTF:
+		*main = func(k int, p *Problem, i int, tmp []float64) {
 			tfConfItem(&p.Items[i], p.Sim[i], e.nlg, e.spaces[k].row(i), tmp)
-		})
-	case e.kind == dkAccu:
-		e.tables.update(&accuTrust{keyed: e.numKeys > 0, global: trust, byKey: byKey})
-		return e.items(func(k int, p *Problem, i int, tmp []float64) {
+		}
+		e.accs[DistFoldTrust], *trustFold = 2, func(k int, p *Problem, i, _ int) {
+			tfFold(&p.Items[i], e.spaces[k].row(i), e.acc[0], e.acc[1])
+		}
+	case dkAccu:
+		*main = func(k int, p *Problem, i int, tmp []float64) {
 			var popLg, popCnt []float64
 			if e.popTabs != nil {
 				popLg, popCnt = e.popTabs[k].rows(i)
@@ -426,51 +471,102 @@ func (e *DistExec) phase(step int, trust []float64, byKey [][]float64) func(k in
 			if e.weights != nil {
 				w = e.weights[k][i]
 			}
-			g := e.sp.parts[k].gidx[i]
+			g := e.sp.parts[k].base + i
 			e.chosen[g] = accuPosterior(p, i, e.opts, e.cfg, e.tables.row(e.keyAt(k, p, i)), popLg, popCnt, w, e.probs[g], tmp)
-		})
+		}
+		e.accs[DistFoldTrust] = 2
+		if e.numKeys > 0 {
+			*trustFold = func(k int, p *Problem, i, g int) {
+				accuFoldKeyed(&p.Items[i], int(e.keyAt(k, p, i)), e.numKeys, e.probs[g], e.acc[0], e.acc[1])
+			}
+			e.accs[DistFoldAccuMean], e.folds[DistFoldAccuMean] = 2, func(k int, p *Problem, i, _ int) {
+				accuMeanFold(&p.Items[i], e.keyAt(k, p, i), e.foldByKey, e.acc[0], e.acc[1])
+			}
+		} else {
+			*trustFold = func(_ int, p *Problem, i, g int) {
+				accuFoldGlobal(&p.Items[i], e.probs[g], e.acc[0], e.acc[1])
+			}
+		}
 	}
+	if e.kind == dkTwoEst || e.kind == dkThreeEst {
+		e.rescaleBody = func(a, b int) { rescaleSpan(e.rescaleXs[a:b], e.rescaleLo, e.rescaleHi) }
+	}
+	e.pass = e.scanShard
+}
+
+// flush runs a deferred phase.
+func (e *DistExec) flush() {
+	if e.pending {
+		e.pending = false
+		e.sp.sweep(e.opts.Parallelism, e.pass, nil)
+	}
+}
+
+// Phase runs one per-item scoring pass over the shards under the loop's
+// trust state (deferred over a memory budget, see DistExec).
+func (e *DistExec) Phase(step int, trust []float64, byKey [][]float64) error {
+	e.flush()
+	if step < 0 || step >= len(e.kernels) || e.kernels[step] == nil {
+		return fmt.Errorf("fusion: phase %d not defined for %s", step, e.name)
+	}
+	e.trust, e.byKey, e.kernel = trust, byKey, e.kernels[step]
+	e.refill()
+	if e.sp.budget() {
+		e.pending = true
+		return nil
+	}
+	e.sp.sweep(e.opts.Parallelism, e.pass, nil)
 	return nil
 }
 
-// items lifts a per-item kernel to a shard pass (tmp is the worker's
-// temp row, nil for kernels without one). Items write disjoint state,
-// so the pass fans out bit-identically at any parallelism. After a warm
-// seed only the shard's rebuilt items are scored.
-func (e *DistExec) items(kernel func(k int, p *Problem, i int, tmp []float64)) func(k int, p *Problem, par int) {
-	return func(k int, p *Problem, par int) {
-		n, idx := len(p.Items), []int(nil)
-		if e.dirty != nil {
-			idx = e.dirty[k]
-			n = len(idx)
-		}
-		if n == 0 {
-			return
-		}
-		if e.popTabs != nil && e.popTabs[k] == nil {
-			// POPACCU's per-shard table, built on the shard's first scored
-			// phase (distinct slots, so concurrent shard phases never race;
-			// rebuilds under the budget reproduce the same buckets).
-			e.popTabs[k] = newPopTable(p)
-		}
-		workers, rows := parallel.Workers(par), [][]float64(nil)
-		if e.temps != nil {
-			workers, rows = innerWorkers(par, e.temps[k]), e.temps[k].rows
-		}
-		parallel.ForWorker(n, workers, func(worker, lo, hi int) {
-			var tmp []float64
-			if rows != nil {
-				tmp = rows[worker]
-			}
-			for j := lo; j < hi; j++ {
-				if idx != nil {
-					kernel(k, p, idx[j], tmp)
-				} else {
-					kernel(k, p, j, tmp)
-				}
-			}
-		})
+// refill refreshes the round's score tables from the phase's trust state.
+func (e *DistExec) refill() {
+	switch e.kind {
+	case dkInvest, dkPooledInvest:
+		investShares(e.shares, e.trust, e.cps)
+	case dkCosine:
+		cosineCubeTable(e.cube, e.trust)
+	case dkTF:
+		tfLogTable(e.nlg, e.trust)
+	case dkAccu:
+		e.tables.update(&accuTrust{keyed: e.numKeys > 0, global: e.trust, byKey: e.byKey})
 	}
+}
+
+// scanShard is the shard pass of the current kernel. Items write
+// disjoint state, so the pass fans out bit-identically at any
+// parallelism. After a warm seed only the shard's rebuilt items are
+// scored.
+func (e *DistExec) scanShard(k int, p *Problem, par int) {
+	n, idx := len(p.Items), []int(nil)
+	if e.dirty != nil {
+		idx = e.dirty[k]
+		n = len(idx)
+	}
+	if n == 0 {
+		return
+	}
+	if e.popTabs != nil && e.popTabs[k] == nil {
+		// POPACCU's per-shard table, built on the shard's first scored
+		// phase (distinct slots, so concurrent shard phases never race;
+		// rebuilds under the budget reproduce the same buckets).
+		e.popTabs[k] = newPopTable(p)
+	}
+	s := shardScan{k: k, p: p, idx: idx, kernel: e.kernel}
+	workers := parallel.Workers(par)
+	if e.temps != nil {
+		workers, s.rows = innerWorkers(par, e.temps[k]), e.temps[k].rows
+	}
+	if workers <= 1 {
+		s.run(0, 0, n)
+		return
+	}
+	if e.scan.body == nil {
+		e.scan.body = e.scan.run
+	}
+	s.body = e.scan.body
+	e.scan = s
+	parallel.ForWorker(n, workers, s.body)
 }
 
 // distSpace resolves a space selector to the executor's score spaces.
@@ -520,11 +616,10 @@ func (e *DistExec) Rescale(space int, lo, hi float64) error {
 	if err != nil {
 		return err
 	}
+	e.rescaleLo, e.rescaleHi = lo, hi
 	for k := range spaces {
-		xs := spaces[k].flat
-		parallel.For(len(xs), e.opts.Parallelism, func(a, b int) {
-			rescaleSpan(xs[a:b], lo, hi)
-		})
+		e.rescaleXs = spaces[k].flat
+		parallel.For(len(e.rescaleXs), e.opts.Parallelism, e.rescaleBody)
 	}
 	return nil
 }
@@ -533,63 +628,25 @@ func (e *DistExec) Rescale(space int, lo, hi float64) error {
 // ascending global item order and returns it — one link of the fold
 // chain. The accumulator layout is per-method (see the loops below).
 func (e *DistExec) Fold(fold int, trust []float64, byKey [][]float64, acc [][]float64) ([][]float64, error) {
-	want, f := e.fold(fold, trust, byKey, acc)
-	if f == nil {
+	if fold < 0 || fold >= len(e.folds) || e.folds[fold] == nil {
 		return nil, fmt.Errorf("fusion: fold %d not defined for %s", fold, e.name)
 	}
-	if len(acc) != want {
+	if want := e.accs[fold]; len(acc) != want {
 		return nil, fmt.Errorf("fusion: fold %d for %s needs %d accumulators, got %d", fold, e.name, want, len(acc))
 	}
-	phase := e.pending
-	e.pending = nil
-	e.sp.sweep(e.opts.Parallelism, phase, f)
-	return acc, nil
-}
-
-// fold returns the accumulator count and the per-item fold of a fold
-// selector (nil when undefined).
-func (e *DistExec) fold(fold int, trust []float64, byKey [][]float64, acc [][]float64) (int, func(k int, p *Problem, i, g int)) {
-	if fold == DistFoldAccuMean {
-		if e.kind != dkAccu || e.numKeys == 0 {
-			return 0, nil
-		}
-		return 2, func(k int, p *Problem, i, g int) {
-			accuMeanFold(&p.Items[i], e.keyAt(k, p, i), byKey, acc[0], acc[1])
-		}
-	}
-	if fold != DistFoldTrust {
-		return 0, nil
-	}
-	switch e.kind {
-	case dkHub, dkAvgLog:
-		return 1, func(k int, p *Problem, i, g int) { voteMassFold(&p.Items[i], e.spaces[k].row(i), acc[0]) }
-	case dkInvest, dkPooledInvest:
+	if e.kind == dkInvest || e.kind == dkPooledInvest {
 		// Refill the shares table from the fold's own trust argument: a
 		// remote worker's Phase and Fold arrive as separate calls, so the
 		// table cannot be assumed to carry over.
 		investShares(e.shares, trust, e.cps)
-		return 1, func(k int, p *Problem, i, g int) {
-			investFold(&p.Items[i], e.shares, e.spaces[k].row(i), e.aux[k].row(i), acc[0])
-		}
-	case dkCosine:
-		return 3, func(k int, p *Problem, i, g int) { cosineFold(&p.Items[i], e.spaces[k].row(i), acc[0], acc[1], acc[2]) }
-	case dkTwoEst:
-		return 2, func(k int, p *Problem, i, g int) { twoEstFold(&p.Items[i], e.spaces[k].row(i), acc[0], acc[1]) }
-	case dkThreeEst:
-		return 2, func(k int, p *Problem, i, g int) {
-			threeEstFold(&p.Items[i], e.spaces[k].row(i), e.eps[k].row(i), acc[0], acc[1])
-		}
-	case dkTF:
-		return 2, func(k int, p *Problem, i, g int) { tfFold(&p.Items[i], e.spaces[k].row(i), acc[0], acc[1]) }
-	case dkAccu:
-		if e.numKeys > 0 {
-			return 2, func(k int, p *Problem, i, g int) {
-				accuFoldKeyed(&p.Items[i], int(e.keyAt(k, p, i)), e.numKeys, e.probs[g], acc[0], acc[1])
-			}
-		}
-		return 2, func(k int, p *Problem, i, g int) { accuFoldGlobal(&p.Items[i], e.probs[g], acc[0], acc[1]) }
 	}
-	return 0, nil
+	e.acc, e.foldByKey = acc, byKey
+	var phase func(k int, p *Problem, par int)
+	if e.pending {
+		e.pending, phase = false, e.pass
+	}
+	e.sp.sweep(e.opts.Parallelism, phase, e.folds[fold])
+	return acc, nil
 }
 
 // detect is ACCUCOPY's per-round step (in-process only): copy detection
@@ -606,10 +663,10 @@ func (e *DistExec) detect(round int, trust *accuTrust) {
 	acc := append([]float64(nil), trust.global...)
 	obs := make([]copydetect.Observation, sp.NumItems())
 	sp.sweep(opts.Parallelism, func(k int, p *Problem, par int) {
-		gi := sp.parts[k].gidx
+		base := sp.parts[k].base
 		parallel.For(len(p.Items), par, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				g := gi[i]
+				g := base + i
 				buildObservation(&p.Items[i], e.chosen[g], e.probs[g], opts, &obs[g])
 			}
 		})
@@ -651,14 +708,14 @@ func (e *DistExec) seedWarm(prevSP *ShardedProblem, prev *Result, prevIdxOf [][]
 		}
 	}
 	for k, npt := range e.sp.parts {
-		prevGidx := prevSP.parts[k].gidx
-		for i, g := range npt.gidx {
-			pi := i
+		prevBase := prevSP.parts[k].base
+		for i := 0; i < npt.n; i++ {
+			g, pi := npt.base+i, i
 			if prevIdxOf[k] != nil {
 				pi = prevIdxOf[k][i]
 			}
 			if pi >= 0 {
-				e.probs[g], e.chosen[g] = prev.Posteriors[prevGidx[pi]], prev.Chosen[prevGidx[pi]]
+				e.probs[g], e.chosen[g] = prev.Posteriors[prevBase+pi], prev.Chosen[prevBase+pi]
 			} else {
 				e.probs[g] = make([]float64, npt.off[i+1]-npt.off[i])
 			}
@@ -699,14 +756,15 @@ func (e *DistExec) LocalResult(trust []float64, attrTrust [][]float64, rounds in
 // set, is the ACCU warm start (seedWarm): the run fails with
 // errWarmDrift once any trust entry drifts past tol from it.
 func (e *DistExec) run(warm *accuTrust, tol float64) (*Result, error) {
-	d := &distDriver{peers: []DistPeer{e}, opts: e.opts, res: &DistResult{Method: e.name}, warm: warm, tol: tol}
+	d := newDistDriver([]DistPeer{e}, e.opts, e.name)
+	d.warm, d.tol = warm, tol
 	if e.cfg.copies {
 		d.detect = e.detect
 	}
 	if err := d.run(e.kind, e.cfg, len(e.sp.SourceIDs), e.numKeys, e.cps); err != nil {
 		return nil, err
 	}
-	r := d.res
+	r := &d.res
 	return e.LocalResult(r.Trust, r.AttrTrust, r.Rounds, r.Converged), nil
 }
 
@@ -727,39 +785,86 @@ type DistResult struct {
 // errWarmDrift aborts a warm run whose trust left the tolerance.
 var errWarmDrift = errors.New("fusion: warm trust drifted past the tolerance")
 
-// distDriver carries the round loops' shared machinery.
+// distDriver carries the round loops' shared machinery. A broadcast
+// names its call by an opcode and reads the call's arguments from the
+// driver, so a round allocates nothing beyond the peers' own work.
 type distDriver struct {
 	peers []DistPeer
 	opts  Options
-	res   *DistResult
+	res   DistResult
 
 	// In-process only: ACCUCOPY's detection step, and the warm start
 	// with its drift tolerance.
 	detect func(round int, trust *accuTrust)
 	warm   *accuTrust
 	tol    float64
+
+	// Broadcast state: the error slots of the peers run on their own
+	// goroutines (all but the last), and the calls' arguments — the phase
+	// step and trust, the rescale space and the gathered extrema.
+	errs   []error
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	step   int
+	trust  []float64
+	byKey  [][]float64
+	space  int
+	lo, hi float64
+}
+
+// The broadcast calls.
+const (
+	callPhase = iota
+	callMinMax
+	callRescale
+)
+
+// newDistDriver prepares a driver over the peers.
+func newDistDriver(peers []DistPeer, opts Options, method string) *distDriver {
+	return &distDriver{peers: peers, opts: opts, res: DistResult{Method: method}, errs: make([]error, len(peers)-1)}
+}
+
+// call runs one broadcast call on a peer.
+func (d *distDriver) call(op int, p DistPeer) error {
+	switch op {
+	case callPhase:
+		return p.Phase(d.step, d.trust, d.byKey)
+	case callMinMax:
+		l, h, err := p.MinMax(d.space)
+		if err != nil {
+			return err
+		}
+		d.mu.Lock()
+		d.lo, d.hi = min(d.lo, l), max(d.hi, h)
+		d.mu.Unlock()
+		return nil
+	}
+	return p.Rescale(d.space, d.lo, d.hi)
 }
 
 // broadcastPhase runs one phase step on every peer concurrently — phases
 // touch only peer-local state, so order does not matter.
 func (d *distDriver) broadcastPhase(step int, trust []float64, byKey [][]float64) error {
-	return d.broadcast(func(p DistPeer) error { return p.Phase(step, trust, byKey) })
+	d.step, d.trust, d.byKey = step, trust, byKey
+	return d.broadcast(callPhase)
 }
 
-func (d *distDriver) broadcast(f func(p DistPeer) error) error {
+// broadcast runs a call on every peer concurrently, the last one on the
+// calling goroutine (an in-process run starts no goroutine).
+func (d *distDriver) broadcast(op int) error {
 	start := time.Now()
 	defer func() { d.res.Broadcast += time.Since(start) }()
-	errs := make([]error, len(d.peers))
-	var wg sync.WaitGroup
-	for i, p := range d.peers {
-		wg.Add(1)
-		go func(i int, p DistPeer) {
-			defer wg.Done()
-			errs[i] = f(p)
-		}(i, p)
+	last := len(d.peers) - 1
+	for i, p := range d.peers[:last] {
+		d.wg.Add(1)
+		go func() {
+			defer d.wg.Done()
+			d.errs[i] = d.call(op, p)
+		}()
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	err := d.call(op, d.peers[last])
+	d.wg.Wait()
+	return errors.Join(errors.Join(d.errs...), err)
 }
 
 // rescale runs the global [0,1] renormalisation: gather every peer's
@@ -767,27 +872,12 @@ func (d *distDriver) broadcast(f func(p DistPeer) error) error {
 // broadcast the rescale. Like rescaleFlat it leaves degenerate scores
 // untouched.
 func (d *distDriver) rescale(space int) error {
-	lo, hi := flatMinMax(nil)
-	var mu sync.Mutex
-	err := d.broadcast(func(p DistPeer) error {
-		l, h, err := p.MinMax(space)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		if l < lo {
-			lo = l
-		}
-		if h > hi {
-			hi = h
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil || hi <= lo {
+	d.space = space
+	d.lo, d.hi = flatMinMax(nil)
+	if err := d.broadcast(callMinMax); err != nil || d.hi <= d.lo {
 		return err
 	}
-	return d.broadcast(func(p DistPeer) error { return p.Rescale(space, lo, hi) })
+	return d.broadcast(callRescale)
 }
 
 // foldChain threads the accumulator through the peers in ascending shard
@@ -896,7 +986,7 @@ func vectorProgram(kind distKind, cps []int) vecProgram {
 // InputTrust supplied there is no estimation: one round of phases under
 // the given trust.
 func (d *distDriver) runVector(pr vecProgram, n int) error {
-	opts, res := d.opts, d.res
+	opts, res := d.opts, &d.res
 	trust := initTrust(n, opts.startTrust(), pr.start)
 	next := make([]float64, n)
 	acc := make([][]float64, pr.accs)
@@ -974,7 +1064,7 @@ func accuStart(n, numKeys int, cfg accuConfig, opts Options) *accuTrust {
 // one global key), ending with the keyed finish: the per-source mean of
 // the keyed trust, folded in global item order.
 func (d *distDriver) runAccu(cfg accuConfig, n, numKeys int) error {
-	opts, res := d.opts, d.res
+	opts, res := d.opts, &d.res
 	trust := accuStart(n, numKeys, cfg, opts)
 	if d.warm != nil {
 		trust = &accuTrust{keyed: d.warm.keyed, global: append([]float64(nil), d.warm.global...)}
@@ -987,7 +1077,7 @@ func (d *distDriver) runAccu(cfg accuConfig, n, numKeys int) error {
 	if numKeys > 0 {
 		width *= numKeys
 	}
-	sc := &accuScratch{next: make([]float64, width), cnt: make([]float64, width)}
+	sc := accuScratch{next: make([]float64, width), cnt: make([]float64, width)}
 	acc := make([][]float64, 2)
 	for round := 1; ; round++ {
 		res.Rounds = round
@@ -1016,7 +1106,7 @@ func (d *distDriver) runAccu(cfg accuConfig, n, numKeys int) error {
 		if trust.keyed {
 			delta = accuKeyedTail(trust, numKeys, sc.next, sc.cnt)
 		} else {
-			delta = accuGlobalTail(trust, sc)
+			delta = accuGlobalTail(trust, &sc)
 		}
 		if d.warm != nil && trustDrift(trust, d.warm.global, d.warm.byKey) > d.tol {
 			return errWarmDrift
@@ -1062,10 +1152,10 @@ func DistRun(m Method, opts Options, peers []DistPeer, n, numAttrs int, cps []in
 		numKeys = numAttrs
 	}
 	start := time.Now()
-	d := &distDriver{peers: peers, opts: opts.withDefaults(), res: &DistResult{Method: m.Name()}}
+	d := newDistDriver(peers, opts.withDefaults(), m.Name())
 	if err := d.run(kind, cfg, n, numKeys, cps); err != nil {
 		return nil, err
 	}
 	d.res.Elapsed = time.Since(start)
-	return d.res, nil
+	return &d.res, nil
 }

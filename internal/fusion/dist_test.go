@@ -177,17 +177,16 @@ func TestDistRunRejectsOfflineOptions(t *testing.T) {
 	}
 }
 
-// TestBuildShardedOwnedNeedsRange: hash sharding interleaves items across
-// shards, which breaks the worker-order == item-order invariant.
+// TestBuildShardedOwnedNeedsRange: a worker owns a non-empty run of
+// shards inside the spec, the contiguous item range its fold link
+// covers.
 func TestBuildShardedOwnedNeedsRange(t *testing.T) {
 	ds, snaps := incWorld(t, 5, 1)
-	spec := model.HashShards(2, snaps[0].NumItems())
-	if _, err := BuildShardedOwned(ds, snaps[0], nil, spec, AccuPr{}.Needs(), 0, 2); err == nil {
-		t.Fatal("BuildShardedOwned accepted hash sharding")
-	}
 	rs := model.RangeShards(2, snaps[0].NumItems())
-	if _, err := BuildShardedOwned(ds, snaps[0], nil, rs, AccuPr{}.Needs(), 1, 1); err == nil {
-		t.Fatal("BuildShardedOwned accepted an empty owned range")
+	for _, r := range [][2]int{{1, 1}, {-1, 1}, {1, 3}} {
+		if _, err := BuildShardedOwned(ds, snaps[0], nil, rs, AccuPr{}.Needs(), r[0], r[1]); err == nil {
+			t.Fatalf("BuildShardedOwned accepted the owned range [%d, %d) of 2 shards", r[0], r[1])
+		}
 	}
 }
 

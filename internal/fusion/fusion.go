@@ -553,7 +553,7 @@ type Result struct {
 	Converged  bool
 	Elapsed    time.Duration
 	// Plan records the execution decision that produced this result on
-	// the incremental paths (State.Advance / ShardedState.Advance): the
+	// the incremental path (State.Advance): the
 	// chosen path and layout plus the measured delta features the planner
 	// decided on. Nil for from-scratch runs.
 	Plan *Plan

@@ -5,14 +5,16 @@ import (
 	"time"
 
 	"truthdiscovery/internal/model"
-	"truthdiscovery/internal/parallel"
 )
 
 // This file is the streaming half of the fusion engine. A State captures
-// one finished fusion run — the snapshot, the problem and the result with
-// its posteriors — and Advance moves it across a model.Delta: the problem
-// is maintained incrementally (only dirty items are re-bucketized and get
-// fresh similarity/format structures), and the method re-runs on the
+// one finished fusion run over a range-sharded problem — one shard is the
+// flat layout — and Advance moves it across a model.Delta: the delta is
+// routed to the item shards (Delta.Split; deltas partition cleanly by
+// item), each touched shard applies its slice and maintains its problem
+// incrementally (only dirty items are re-bucketized and get fresh
+// similarity/format structures; untouched shards carry over whole), and
+// the method re-runs on the round protocol's executor (dist.go), on the
 // cheapest path that preserves its contract:
 //
 //   - item-local methods (VOTE) recompute only the dirty items;
@@ -26,35 +28,41 @@ import (
 // On the default zero tolerance every path is bit-identical to building
 // the target snapshot's problem from scratch and calling Method.Run — the
 // incremental win is the problem maintenance and the item-local shortcut
-// — which the equivalence tests assert method by method.
+// — which the equivalence tests assert method by method, at one shard and
+// at many.
 
-// State is a reusable fused state for one (dataset, source roster, method)
-// stream. Treat all fields as read-only once built.
+// State is a reusable fused state for one (dataset, source roster,
+// method, layout) stream. Treat all fields as read-only once built.
 type State struct {
-	Snap    *model.Snapshot
-	Problem *Problem
+	Sharded ShardedProblem
 	Result  *Result
 
-	method    Method
-	buildOpts BuildOptions
+	method Method
+	// plan is the decision of the advance that produced the state, which
+	// Result.Plan and the advance's IncrementalStats.Plan point at.
+	plan Plan
 }
 
 // Method returns the fusion method this state was built with.
 func (st *State) Method() Method { return st.method }
 
-// NewState fuses a snapshot from scratch and captures the reusable state.
-// sources follows Build's convention (nil = all sources).
-func NewState(ds *model.Dataset, snap *model.Snapshot, sources []model.SourceID, m Method, opts Options) *State {
-	needs := m.Needs()
-	needs.Parallelism = opts.Parallelism
-	p := Build(ds, snap, sources, needs)
-	return &State{
-		Snap:      snap,
-		Problem:   p,
-		Result:    m.Run(p, opts),
-		method:    m,
-		buildOpts: needs,
+// Answers renders the state's result as one Answer per claimed item, in
+// item order.
+func (st *State) Answers(ds *model.Dataset) []Answer {
+	return AnswersForSharded(ds, &st.Sharded, st.Result)
+}
+
+// NewState fuses a snapshot from scratch over the shard set and captures
+// the reusable state. sources follows Build's convention (nil = all
+// sources); maxResident follows BuildSharded's.
+func NewState(ds *model.Dataset, snap *model.Snapshot, sources []model.SourceID,
+	spec model.ShardSpec, m Method, opts Options, maxResident int) (*State, error) {
+
+	res, sp, err := FuseSharded(ds, snap, sources, spec, m, opts, maxResident)
+	if err != nil {
+		return nil, err
 	}
+	return &State{Sharded: *sp, Result: res, method: m}, nil
 }
 
 // IncrementalOptions tunes Advance.
@@ -130,83 +138,179 @@ func (AccuFormatAttr) accuCfg() accuConfig {
 	return accuConfig{name: "AccuFormatAttr", sim: true, format: true, perAttr: true}
 }
 
-// Advance applies a delta to the state's snapshot and re-fuses, reusing as
-// much of the previous state as the method's contract allows. It returns a
-// fresh state (the receiver stays valid: earlier states of a stream can be
-// advanced again, e.g. to branch a what-if delta).
-func (st *State) Advance(ds *model.Dataset, delta *model.Delta, opts Options, inc IncrementalOptions) (*State, IncrementalStats, error) {
-	if st.Snap == nil || st.Problem == nil || st.Result == nil {
+// Advance applies a delta to the state's shard set and re-fuses, reusing
+// as much of the previous state as the method's contract allows (see the
+// file comment). It returns a fresh state; the receiver stays valid, so
+// earlier states of a stream can be advanced again (e.g. to branch a
+// what-if delta), except under a memory budget, where non-resident shard
+// problems are rebuilt from the new snapshots.
+func (st *State) Advance(ds *model.Dataset, delta *model.Delta, opts Options,
+	inc IncrementalOptions) (*State, IncrementalStats, error) {
+
+	if st.Result == nil {
 		return nil, IncrementalStats{}, fmt.Errorf("fusion: Advance on an empty state")
 	}
-	snap, err := st.Snap.Apply(delta)
+	sp := &st.Sharded
+	deltas, err := delta.Split(sp.Spec)
 	if err != nil {
 		return nil, IncrementalStats{}, err
 	}
-	needs := st.buildOpts
+
+	needs := sp.needs
 	needs.Parallelism = opts.Parallelism
-	p, rebuilt := UpdateProblem(ds, snap, st.Problem, delta.DirtyItems(), needs)
-	stats := IncrementalStats{DirtyItems: len(rebuilt), TotalItems: len(p.Items)}
+	out := &State{method: st.method}
+	next := &out.Sharded
+	*next = ShardedProblem{
+		Spec:        sp.Spec,
+		SourceIDs:   sp.SourceIDs,
+		NumAttrs:    sp.NumAttrs,
+		MaxResident: sp.MaxResident,
+		parts:       make([]*shardPart, len(sp.parts)),
+		ds:          ds,
+		needs:       needs,
+	}
+	stats := IncrementalStats{}
+	// rebuiltOf[k] lists the rebuilt item indices of shard k's new
+	// problem; prevIdxOf[k] aligns the new problem's items to the old
+	// one's (the item-local and warm paths read both; nil means the shard
+	// was untouched and aligns identically).
+	work := make([][]int, 2*len(sp.parts))
+	rebuiltOf, prevIdxOf := work[:len(sp.parts)], work[len(sp.parts):]
+	lm, isLocal := st.method.(ItemLocal)
+	_, isAccu := st.method.(accuConfigured)
+	warmable := isAccu && inc.TrustTolerance > 0
+	dirtyShards := 0
 
-	// prevIdx[i] is the previous problem's index of (clean) item i, -1 for
-	// rebuilt or new items.
-	prevIdx := alignItems(p, st.Problem, rebuilt)
-
-	next := &State{Snap: snap, Problem: p, method: st.method, buildOpts: st.buildOpts}
+	for k, pt := range sp.parts {
+		if deltas[k].Empty() {
+			// Untouched shard: carry the snapshot, the arena (when
+			// resident) and all recorded metadata forward — the day costs
+			// nothing here beyond the global re-assembly.
+			next.parts[k] = pt.carryForward()
+			continue
+		}
+		dirtyShards++
+		newSnap, err := pt.snap.Apply(deltas[k])
+		if err != nil {
+			return nil, IncrementalStats{}, err
+		}
+		prevP := sp.load(k)
+		p, rebuilt := UpdateProblem(ds, newSnap, prevP, deltas[k].DirtyItems(), needs)
+		npt := &shardPart{snap: newSnap, filter: pt.filter, resident: pt.resident}
+		recordPart(npt, p)
+		if npt.resident {
+			npt.p = p
+		}
+		rebuiltOf[k] = rebuilt
+		if isLocal || warmable {
+			prevIdxOf[k] = alignItems(p, prevP, rebuilt)
+		}
+		stats.DirtyItems += len(rebuilt)
+		next.parts[k] = npt
+		sp.release(k)
+	}
+	next.finishAssembly()
+	stats.TotalItems = next.NumItems()
 	start := time.Now()
 
-	lm, isLocal := st.method.(ItemLocal)
-	ac, isAccu := st.method.(accuConfigured)
-	plan := computePlan(inc.Planner, LayoutFlat,
-		planCaps{itemLocal: isLocal, warmable: isAccu && inc.TrustTolerance > 0},
-		PlanFeatures{
-			DirtyItems: len(rebuilt),
-			TotalItems: len(p.Items),
-			ArenaBytes: problemArenaBytes(p),
-		}, opts.Parallelism, 0)
-	stats.Plan = &plan
+	// One shard is the flat layout, recorded without shard features.
+	features := PlanFeatures{DirtyItems: stats.DirtyItems, TotalItems: stats.TotalItems}
+	features.ArenaBytes, _ = next.ArenaBytes()
+	layout, resident := LayoutFlat, 0
+	if len(next.parts) > 1 {
+		layout, resident = LayoutSharded, next.MaxResident
+		features.DirtyShards, features.TotalShards = dirtyShards, len(next.parts)
+	}
+	out.plan = computePlan(inc.Planner, layout, planCaps{itemLocal: isLocal, warmable: warmable},
+		features, opts.Parallelism, resident)
+	plan := &out.plan
+	stats.Plan = plan
 
 	if plan.Path == ModeLocal {
 		if !isLocal {
 			return nil, IncrementalStats{}, forcedPathError(plan.Path, st.method.Name())
 		}
-		chosen := make([]int32, len(p.Items))
-		for i, pi := range prevIdx {
-			if pi >= 0 {
-				chosen[i] = st.Result.Chosen[pi]
+		// Item-local fast path: clean items keep the previous answers,
+		// dirty items are recomputed shard by shard, each into its own
+		// range of the global answer vector.
+		chosen := make([]int32, next.NumItems())
+		for k, npt := range next.parts {
+			prevBase := sp.parts[k].base
+			local := chosen[npt.base : npt.base+npt.n]
+			for i := range local {
+				pi := i
+				if prevIdxOf[k] != nil {
+					pi = prevIdxOf[k][i]
+				}
+				if pi >= 0 {
+					local[i] = st.Result.Chosen[prevBase+pi]
+				}
+			}
+			if len(rebuiltOf[k]) > 0 {
+				lm.RunItems(next.load(k), opts, rebuiltOf[k], local)
+				next.release(k)
 			}
 		}
-		lm.RunItems(p, opts, rebuilt, chosen)
-		next.Result = &Result{
+		out.Result = &Result{
 			Method:    st.Result.Method,
 			Chosen:    chosen,
 			Rounds:    1,
 			Converged: true,
 			Elapsed:   time.Since(start),
-			Plan:      &plan,
+			Plan:      plan,
 		}
 		stats.Mode = ModeLocal
-		return next, stats, nil
+		return out, stats, nil
 	}
 
 	if plan.Path == ModeWarm {
-		if !isAccu || inc.TrustTolerance <= 0 {
+		if !warmable {
 			return nil, IncrementalStats{}, forcedPathError(plan.Path, st.method.Name())
 		}
-		if res, ok := accuWarm(p, opts, ac.accuCfg(), st.Result, prevIdx, rebuilt, inc.TrustTolerance); ok {
+		if res, ok := runWarm(next, sp, st.method, opts, st.Result,
+			prevIdxOf, rebuiltOf, inc.TrustTolerance); ok {
 			res.Elapsed = time.Since(start)
-			res.Plan = &plan
-			next.Result = res
+			res.Plan = plan
+			out.Result = res
 			stats.Mode = ModeWarm
-			return next, stats, nil
+			return out, stats, nil
 		}
 		stats.Fallback = true
 		plan.fellBack()
 	}
 
-	next.Result = st.method.Run(p, opts)
-	next.Result.Plan = &plan
+	res, err := next.Run(st.method, opts)
+	if err != nil {
+		return nil, IncrementalStats{}, err
+	}
+	res.Plan = plan
+	out.Result = res
 	stats.Mode = ModeFull
-	return next, stats, nil
+	return out, stats, nil
+}
+
+// runWarm is the dirty-only warm path of the ACCU family: an executor
+// seeded from prev (computed on prevSP) phases only each shard's rebuilt
+// items — posteriors are recomputed only for them, clean items share
+// prev's rows — while the loop re-estimates trust over every item from
+// prev's converged trust. The iteration is accepted only while no trust
+// entry drifts more than tol from prev's. It reports false — the caller
+// re-runs the full iteration — when sampled trust is supplied (no
+// estimation loop to warm), when prev lacks the state, or when the drift
+// bound trips.
+func runWarm(next, prevSP *ShardedProblem, m Method, opts Options, prev *Result,
+	prevIdxOf, rebuiltOf [][]int, tol float64) (*Result, bool) {
+
+	e, err := newExec(next, m, opts, nil, rebuiltOf)
+	if err != nil || accuTrustGiven(e.opts, e.cfg) {
+		return nil, false
+	}
+	base, ok := e.seedWarm(prevSP, prev, prevIdxOf)
+	if !ok {
+		return nil, false
+	}
+	res, err := e.run(base, tol)
+	return res, err == nil
 }
 
 // alignItems maps the new problem's item indices onto the previous
@@ -294,86 +398,6 @@ func UpdateProblem(ds *model.Dataset, snap *model.Snapshot, prev *Problem, dirty
 		p.sinceCompact = prev.sinceCompact + len(rebuilt)
 	}
 	return p, rebuilt
-}
-
-// accuWarm is the dirty-only warm path of the ACCU family: posteriors are
-// recomputed only for the rebuilt items, trust is re-estimated over the
-// full item set (reading the previous posteriors for clean items), and the
-// iteration is accepted only while no trust entry drifts more than tol
-// from the previous converged trust. Returns ok=false — fall back to full
-// re-fusion — when the drift bound trips, when sampled trust is supplied
-// (no estimation loop to warm), or when the previous result lacks the
-// needed state.
-func accuWarm(p *Problem, opts Options, cfg accuConfig, prev *Result, prevIdx, dirtyIdx []int, tol float64) (*Result, bool) {
-	opts = opts.withDefaults()
-	if opts.InputTrust != nil || (cfg.perAttr && opts.InputAttrTrust != nil) {
-		return nil, false
-	}
-	if prev.Posteriors == nil || prev.Chosen == nil {
-		return nil, false
-	}
-	numKeys, keyOf := keySetup(p, cfg)
-	trust := &accuTrust{keyed: numKeys > 0}
-	var baseGlobal []float64
-	var baseKeyed [][]float64
-	if trust.keyed {
-		if prev.AttrTrust == nil {
-			return nil, false // keyed state not carried (e.g. perCat)
-		}
-		trust.byKey = make([][]float64, len(prev.AttrTrust))
-		baseKeyed = make([][]float64, len(prev.AttrTrust))
-		for s := range prev.AttrTrust {
-			if len(prev.AttrTrust[s]) != numKeys {
-				return nil, false
-			}
-			trust.byKey[s] = append([]float64(nil), prev.AttrTrust[s]...)
-			baseKeyed[s] = prev.AttrTrust[s]
-		}
-	} else {
-		if prev.Trust == nil {
-			return nil, false
-		}
-		trust.global = append([]float64(nil), prev.Trust...)
-		baseGlobal = prev.Trust
-	}
-
-	// Posteriors: clean items share the previous rows (read-only), rebuilt
-	// items get fresh rows seeded with the VOTE prior like a cold start.
-	probs := make([][]float64, len(p.Items))
-	chosen := make([]int32, len(p.Items))
-	for i := range p.Items {
-		if pi := prevIdx[i]; pi >= 0 {
-			probs[i] = prev.Posteriors[pi]
-			chosen[i] = prev.Chosen[pi]
-			continue
-		}
-		it := &p.Items[i]
-		row := make([]float64, len(it.Buckets))
-		for b, bk := range it.Buckets {
-			row[b] = float64(len(bk.Sources)) / float64(it.Providers)
-		}
-		probs[i] = row
-	}
-
-	res := &Result{Method: cfg.name}
-	sc := newAccuScratch(p, numKeys, opts, cfg)
-	postPhase := accuPostPhase(p, opts, cfg, keyOf, sc, probs, chosen, dirtyIdx, nil)
-	for round := 1; ; round++ {
-		res.Rounds = round
-		sc.tables.update(trust)
-		parallel.ForWorker(len(dirtyIdx), sc.temps.workers, postPhase)
-		delta := accuReestimate(p, trust, probs, keyOf, numKeys, sc)
-		if drift := trustDrift(trust, baseGlobal, baseKeyed); drift > tol {
-			return nil, false
-		}
-		if delta < opts.Epsilon || round >= opts.MaxRounds {
-			res.Converged = delta < opts.Epsilon
-			break
-		}
-	}
-
-	accuFinish(p, cfg, trust, probs, chosen, keyOf, res)
-	return res, true
 }
 
 // trustDrift returns the largest absolute difference between the current

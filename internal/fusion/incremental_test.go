@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"truthdiscovery/internal/datagen"
 	"truthdiscovery/internal/model"
 	"truthdiscovery/internal/value"
 )
@@ -211,11 +212,23 @@ func TestUpdateProblemMatchesBuild(t *testing.T) {
 	}
 }
 
+// flatState fuses snap into a one-shard state: the flat layout.
+func flatState(t *testing.T, ds *model.Dataset, snap *model.Snapshot, m Method, opts Options) *State {
+	t.Helper()
+	st, err := NewState(ds, snap, nil, model.RangeShards(1, snap.NumItems()), m, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestAdvanceBitIdentical is the incremental engine's core contract: with
 // the default (zero) trust tolerance, advancing a state over a delta
 // stream is bit-identical to fusing every day's snapshot from scratch.
 // Vote exercises the item-local path; the others the full-re-run path on
-// the incrementally maintained problem.
+// the incrementally maintained problem. The state is the one-shard
+// layout, whose advance records the flat plan and works on the very
+// problem UpdateProblem maintains.
 func TestAdvanceBitIdentical(t *testing.T) {
 	ds, snaps := incWorld(t, 11, 5)
 	for _, name := range []string{"Vote", "AccuPr", "AccuFormatAttr", "TruthFinder", "2-Estimates"} {
@@ -224,7 +237,7 @@ func TestAdvanceBitIdentical(t *testing.T) {
 			t.Fatalf("unknown method %s", name)
 		}
 		opts := Options{}
-		st := NewState(ds, snaps[0], nil, m, opts)
+		st := flatState(t, ds, snaps[0], m, opts)
 		for d := 1; d < len(snaps); d++ {
 			delta, err := snaps[d-1].Diff(snaps[d])
 			if err != nil {
@@ -241,10 +254,13 @@ func TestAdvanceBitIdentical(t *testing.T) {
 			if stats.Mode != wantMode {
 				t.Fatalf("%s day %d: mode %s, want %s", name, d, stats.Mode, wantMode)
 			}
+			if pl := stats.Plan; pl == nil || pl.Layout != LayoutFlat || pl.Features.TotalShards != 0 || pl.ResidentShards != 0 {
+				t.Fatalf("%s day %d: one-shard plan %+v, want the flat layout without shard features", name, d, pl)
+			}
 
 			needs := m.Needs()
 			full := Build(ds, snaps[d], nil, needs)
-			sameProblem(t, fmt.Sprintf("%s day %d problem", name, d), next.Problem, full)
+			sameProblem(t, fmt.Sprintf("%s day %d problem", name, d), next.Sharded.parts[0].p, full)
 			want := m.Run(full, opts)
 			sameRun(t, fmt.Sprintf("%s day %d", name, d), next.Result, want)
 			st = next
@@ -261,7 +277,7 @@ func TestAdvanceWarmWithinTolerance(t *testing.T) {
 		m, _ := ByName(name)
 		opts := Options{}
 		const tol = 0.05
-		st := NewState(ds, snaps[0], nil, m, opts)
+		st := flatState(t, ds, snaps[0], m, opts)
 		for d := 1; d < len(snaps); d++ {
 			delta, err := snaps[d-1].Diff(snaps[d])
 			if err != nil {
@@ -303,7 +319,7 @@ func TestAdvanceWarmFallsBack(t *testing.T) {
 	ds, snaps := incWorld(t, 17, 2)
 	m, _ := ByName("AccuPr")
 	opts := Options{}
-	st := NewState(ds, snaps[0], nil, m, opts)
+	st := flatState(t, ds, snaps[0], m, opts)
 	delta, err := snaps[0].Diff(snaps[1])
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +340,7 @@ func TestAdvanceWarmFallsBack(t *testing.T) {
 func TestAdvanceRejectsStaleDelta(t *testing.T) {
 	ds, snaps := incWorld(t, 19, 3)
 	m, _ := ByName("Vote")
-	st := NewState(ds, snaps[0], nil, m, Options{})
+	st := flatState(t, ds, snaps[0], m, Options{})
 	// Diff day1 -> day2 applied onto day0: payloads won't match.
 	delta, err := snaps[1].Diff(snaps[2])
 	if err != nil {
@@ -336,4 +352,62 @@ func TestAdvanceRejectsStaleDelta(t *testing.T) {
 	if _, _, err := st.Advance(ds, delta, Options{}, IncrementalOptions{}); err == nil {
 		t.Fatal("stale delta accepted")
 	}
+}
+
+// TestOneShardAdvanceCopiesNothing pins the one-shard layout's cost: on
+// a Stock delta (the paper's ~94% daily churn) its advance allocates
+// within 5% of the bytes the flat pipeline itself needs — Snapshot.Apply,
+// UpdateProblem and Method.Run on the same delta — because the part is
+// the snapshot, the delta and the maintained problem themselves, never a
+// copy of them.
+func TestOneShardAdvanceCopiesNothing(t *testing.T) {
+	cfg := datagen.DefaultStockConfig(5)
+	cfg.Stocks, cfg.GoldSymbols, cfg.Days = 100, 50, 2
+	gen := datagen.NewStock(cfg)
+	ds := gen.Dataset()
+	day0, day1 := gen.Snapshot(0), gen.Snapshot(1)
+	ds.AddSnapshot(day0)
+	ds.AddSnapshot(day1)
+	ds.ComputeTolerances(value.DefaultAlpha, day0, day1)
+	delta, err := day0.Diff(day1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := AccuPr{}
+	opts := Options{Parallelism: 1}
+	st, err := NewState(ds, day0, gen.FusedSources(), model.RangeShards(1, day0.NumItems()), m, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := st.Sharded.parts[0].p
+	needs := m.Needs()
+	needs.Parallelism = 1
+
+	// The smallest of a few passes reads past one-off runtime noise.
+	minBytes := func(f func()) int64 {
+		best := int64(-1)
+		for i := 0; i < 3; i++ {
+			if b := allocatedBytes(f); best < 0 || b < best {
+				best = b
+			}
+		}
+		return best
+	}
+	flat := minBytes(func() {
+		snap, err := day0.Apply(delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := UpdateProblem(ds, snap, prev, delta.DirtyItems(), needs)
+		m.Run(p, opts)
+	})
+	state := minBytes(func() {
+		if _, _, err := st.Advance(ds, delta, opts, IncrementalOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := flat + flat/20; state > limit {
+		t.Fatalf("one-shard advance allocated %d bytes, flat Apply+UpdateProblem+Run %d: over the 1.05x bound", state, flat)
+	}
+	t.Logf("one-shard advance %d bytes, flat pipeline %d bytes (%.3fx)", state, flat, float64(state)/float64(flat))
 }

@@ -1,6 +1,10 @@
 package fusion
 
-import "fmt"
+import (
+	"fmt"
+
+	"truthdiscovery/internal/model"
+)
 
 // The execution planner: one place that turns a day's measured delta into
 // the path an Advance takes, instead of every caller hand-picking among
@@ -35,7 +39,7 @@ type PlannerMode string
 const (
 	// PlannerAuto (the default) computes the plan from the delta features.
 	PlannerAuto PlannerMode = "auto"
-	// PlannerForced executes the plan named by ForcePath/ForceLayout.
+	// PlannerForced executes the path named by ForcePath.
 	PlannerForced PlannerMode = "forced"
 )
 
@@ -56,14 +60,12 @@ type Planner struct {
 	// instead of attempting the warm path.
 	WarmChurnCeiling float64
 	// ArenaBudgetBytes, when positive, is the arena footprint the layout
-	// planner aims to stay under: worlds whose estimated flat arena
-	// exceeds it are laid out sharded with a resident budget (FuseAuto).
+	// planner aims to stay under: a state built without an explicit shard
+	// count over a world whose estimated flat arena exceeds it is laid
+	// out sharded with a resident budget (ResolveLayout).
 	ArenaBudgetBytes int64
 	// ForcePath names the forced execution path (PlannerForced only).
 	ForcePath AdvanceMode
-	// ForceLayout names the forced layout (PlannerForced only; "" keeps
-	// the layout the state was built with).
-	ForceLayout PlanLayout
 }
 
 // withDefaults resolves the zero knobs.
@@ -74,8 +76,7 @@ func (pl Planner) withDefaults() Planner {
 	return pl
 }
 
-// Validate checks the planner knobs. The layout/shard-count cross checks
-// live in the public FuseOptions.Validate, which knows the shard count.
+// Validate checks the planner knobs.
 func (pl Planner) Validate() error {
 	if pl.WarmChurnCeiling < 0 || pl.WarmChurnCeiling > 1 {
 		return fmt.Errorf("fusion: planner WarmChurnCeiling must be in [0, 1] (0 = default %.2f), got %g",
@@ -86,19 +87,14 @@ func (pl Planner) Validate() error {
 	}
 	switch pl.Mode {
 	case "", PlannerAuto:
-		if pl.ForcePath != "" || pl.ForceLayout != "" {
-			return fmt.Errorf("fusion: planner ForcePath/ForceLayout need Mode %q, got mode %q", PlannerForced, pl.Mode)
+		if pl.ForcePath != "" {
+			return fmt.Errorf("fusion: planner ForcePath needs Mode %q, got mode %q", PlannerForced, pl.Mode)
 		}
 	case PlannerForced:
 		switch pl.ForcePath {
 		case ModeLocal, ModeWarm, ModeFull:
 		default:
 			return fmt.Errorf("fusion: forced planner needs ForcePath local, warm or full, got %q", pl.ForcePath)
-		}
-		switch pl.ForceLayout {
-		case "", LayoutFlat, LayoutSharded:
-		default:
-			return fmt.Errorf("fusion: forced planner layout must be flat or sharded, got %q", pl.ForceLayout)
 		}
 	default:
 		return fmt.Errorf("fusion: unknown planner mode %q (want auto or forced)", pl.Mode)
@@ -164,7 +160,7 @@ func (f PlanFeatures) churn() float64 {
 // computePlan picks the execution path for one advance. layout, the
 // resident budget and parallelism describe the state the advance runs on
 // (the layout of a live state is fixed — switching it means rebuilding,
-// which is FuseAuto's call, not a per-day one). A nil planner preserves
+// which ResolveLayout decides once, not per day). A nil planner preserves
 // the pre-planner gating: warm whenever the method supports it and the
 // tolerance allows, with no churn ceiling.
 func computePlan(pl *Planner, layout PlanLayout, caps planCaps, f PlanFeatures,
@@ -234,17 +230,32 @@ func EstimateArenaBytes(numItems, numClaims int) int64 {
 }
 
 // PlanShards resolves the shard count and resident budget for a world
-// whose estimated flat arena exceeds the planner's budget: enough shards
-// that one shard's arena fits the budget, each kept resident only while
-// in use. Returns (1, 0) — flat, all resident — when the estimate fits
-// or no budget is set.
-func PlanShards(estimate, budgetBytes int64) (shards, maxResident int) {
-	if budgetBytes <= 0 || estimate <= budgetBytes {
+// of numItems items whose estimated flat arena exceeds the planner's
+// budget: enough shards that one shard's arena fits the budget, each
+// kept resident only while in use — but never more shards than items,
+// since a shard smaller than one item cannot shrink the arena further.
+// Returns (1, 0) — flat, all resident — when the estimate fits, no
+// budget is set, or the world has fewer than two items.
+func PlanShards(estimate, budgetBytes int64, numItems int) (shards, maxResident int) {
+	if budgetBytes <= 0 || estimate <= budgetBytes || numItems < 2 {
 		return 1, 0
 	}
-	shards = int((estimate + budgetBytes - 1) / budgetBytes)
-	if shards < 2 {
-		shards = 2
+	shards = int(min((estimate+budgetBytes-1)/budgetBytes, int64(numItems)))
+	return max(shards, 2), 1
+}
+
+// ResolveLayout picks a state's range-shard layout over snap: shards > 1
+// range shards with maxResident as given; otherwise, when the planner
+// sets an arena budget, PlanShards' layout for the world's estimated
+// arena; otherwise one shard — the flat layout. Answers are bit-identical
+// under every layout.
+func ResolveLayout(snap *model.Snapshot, shards, maxResident int, pl *Planner) (model.ShardSpec, int) {
+	if shards <= 1 {
+		shards, maxResident = 1, 0
+		if pl != nil && pl.ArenaBudgetBytes > 0 {
+			est := EstimateArenaBytes(snap.NumItems(), len(snap.Claims))
+			shards, maxResident = PlanShards(est, pl.ArenaBudgetBytes, snap.NumItems())
+		}
 	}
-	return shards, 1
+	return model.RangeShards(shards, snap.NumItems()), maxResident
 }

@@ -94,14 +94,12 @@ func TestPlannerValidate(t *testing.T) {
 		{"zero value", Planner{}, ""},
 		{"auto", Planner{Mode: PlannerAuto, WarmChurnCeiling: 0.5}, ""},
 		{"forced full", Planner{Mode: PlannerForced, ForcePath: ModeFull}, ""},
-		{"forced with layout", Planner{Mode: PlannerForced, ForcePath: ModeWarm, ForceLayout: LayoutFlat}, ""},
 		{"negative ceiling", Planner{WarmChurnCeiling: -0.1}, "WarmChurnCeiling"},
 		{"ceiling past one", Planner{WarmChurnCeiling: 1.5}, "WarmChurnCeiling"},
 		{"negative budget", Planner{ArenaBudgetBytes: -1}, "ArenaBudgetBytes"},
 		{"force path without forced mode", Planner{ForcePath: ModeFull}, "ForcePath"},
 		{"forced without a path", Planner{Mode: PlannerForced}, "ForcePath"},
 		{"forced bad path", Planner{Mode: PlannerForced, ForcePath: "sideways"}, "ForcePath"},
-		{"forced bad layout", Planner{Mode: PlannerForced, ForcePath: ModeFull, ForceLayout: "ring"}, "layout"},
 		{"unknown mode", Planner{Mode: "manual"}, "mode"},
 	}
 	for _, tc := range cases {
@@ -121,18 +119,22 @@ func TestPlannerValidate(t *testing.T) {
 func TestPlanShards(t *testing.T) {
 	cases := []struct {
 		estimate, budget int64
+		items            int
 		shards, resident int
 	}{
-		{1 << 20, 0, 1, 0},       // no budget: flat
-		{1 << 20, 1 << 21, 1, 0}, // fits: flat
-		{1 << 21, 1 << 20, 2, 1}, // 2x over: two shards, one resident
-		{10<<20 + 1, 1 << 20, 11, 1},
+		{1 << 20, 0, 100, 1, 0},       // no budget: flat
+		{1 << 20, 1 << 21, 100, 1, 0}, // fits: flat
+		{1 << 21, 1 << 20, 100, 2, 1}, // 2x over: two shards, one resident
+		{10<<20 + 1, 1 << 20, 100, 11, 1},
+		{10<<20 + 1, 1 << 20, 7, 7, 1}, // capped at one shard per item
+		{1 << 20, 1, 3, 3, 1},          // a budget below one item
+		{1 << 20, 1, 1, 1, 0},          // one item cannot split
 	}
 	for _, tc := range cases {
-		shards, resident := PlanShards(tc.estimate, tc.budget)
+		shards, resident := PlanShards(tc.estimate, tc.budget, tc.items)
 		if shards != tc.shards || resident != tc.resident {
-			t.Errorf("PlanShards(%d, %d) = (%d, %d), want (%d, %d)",
-				tc.estimate, tc.budget, shards, resident, tc.shards, tc.resident)
+			t.Errorf("PlanShards(%d, %d, %d) = (%d, %d), want (%d, %d)",
+				tc.estimate, tc.budget, tc.items, shards, resident, tc.shards, tc.resident)
 		}
 	}
 	if EstimateArenaBytes(100, 1000) <= 0 {

@@ -1,7 +1,6 @@
 package fusion
 
 import (
-	"fmt"
 	"unsafe"
 
 	"truthdiscovery/internal/model"
@@ -15,31 +14,22 @@ import (
 // vote/posterior phase of every method touches only item-local state,
 // while trust estimation is a per-source reduction over the items. The
 // engine exploits exactly that split. Each shard holds the tolerance-
-// bucketed problem of its own items (built from the shard's snapshot,
-// sharing the full dense source roster so source indices are global),
-// phases run shard-by-shard — concurrently when every shard's arena is
-// resident, or sequentially under a memory budget that keeps at most
-// MaxResident arenas alive — and the per-source trust reduction folds
-// every shard's items in ascending global item order, which is the exact
-// floating-point association the flat engine uses. The methods' rounds
-// are the round protocol's (dist.go), run on one in-process executor
-// over this shard set. The result is bit-identical to the unsharded path
-// at any shard count: same answers, same trust vectors, same posteriors,
-// same round counts (asserted by sharded_test.go for all sixteen
-// methods).
+// bucketed problem of its own contiguous item range (built from the
+// shard's snapshot, sharing the full dense source roster so source
+// indices are global), phases run shard-by-shard — concurrently when
+// every shard's arena is resident, or sequentially under a memory budget
+// that keeps at most MaxResident arenas alive — and the per-source trust
+// reduction folds the shards in order, which is ascending global item
+// order: the exact floating-point association the flat engine uses. The
+// methods' rounds are the round protocol's (dist.go), run on one
+// in-process executor over this shard set. The result is bit-identical
+// to the unsharded path at any shard count: same answers, same trust
+// vectors, same posteriors, same round counts (asserted by
+// sharded_test.go for all sixteen methods).
 //
-// The memory-budget mode requires range sharding: there, shard order IS
-// global item order, so a shard can be loaded, phased, folded and
-// released before the next shard is touched, and the fold order is
-// unchanged. Hash sharding interleaves items across shards, which the
-// resident mode handles with a precomputed merge plan.
-
-// partRef locates one item: the shard that owns it and its index there.
-// The merge plan is a []partRef in ascending global ItemID order.
-type partRef struct {
-	part int32
-	idx  int32
-}
+// One shard is the flat layout: the part is the snapshot and the built
+// Problem themselves, and every per-part structure aliases the problem's
+// own, so nothing is copied.
 
 // shardPart is one shard's slot in a ShardedProblem: the shard snapshot,
 // the (possibly evicted) problem arena, and the stable per-shard
@@ -57,39 +47,38 @@ type shardPart struct {
 	// (re)build — the ACCUCOPY known-groups path.
 	filter []bool
 
-	// Stable metadata (identical on every rebuild). localCPS and the
-	// local category tables are recorded from the built problem so
-	// assembly — and every later re-assembly after an Advance — never
+	// Stable metadata (identical on every rebuild), recorded from the
+	// built problem — its immutable slices are shared, not copied — so
+	// assembly, and every later re-assembly after an Advance, never
 	// rescans the shard's claims; untouched shards carry their metadata
 	// forward unchanged.
-	items         []model.ItemID // the shard's item list, ascending
-	off           []int32        // bucket offsets (len(items)+1)
-	gidx          []int32        // local item index -> global item index
-	cats          []int32        // per-item category, global numbering
-	localCPS      []int          // the shard's own per-source claim counts
-	localCats     []int32        // per-item category, shard-local numbering
-	localCatNames []string       // shard-local category names
-	maxBuckets    int
-	arenaBytes    int64
+	n          int      // item count
+	base       int      // global index of the shard's first item
+	off        []int32  // bucket offsets (len n+1)
+	cps        []int    // the shard's own per-source claim counts
+	cats       []int32  // per-item category, shard-local numbering
+	catNames   []string // shard-local category names
+	maxBuckets int
+	arenaBytes int64
 }
 
 // carryForward returns a copy of the part for the next generation of a
 // ShardedProblem: the immutable metadata (and the resident arena) is
-// shared, while the global structures finishAssembly rewrites (gidx,
-// cats) get their own slots so the previous generation stays valid.
+// shared, while base, which finishAssembly rewrites, gets its own slot
+// so the previous generation stays valid.
 func (pt *shardPart) carryForward() *shardPart {
 	npt := *pt
-	npt.gidx, npt.cats = nil, nil
 	return &npt
 }
 
 // numBuckets returns the shard's total bucket count.
-func (pt *shardPart) numBuckets() int { return int(pt.off[len(pt.items)]) }
+func (pt *shardPart) numBuckets() int { return int(pt.off[pt.n]) }
 
-// ShardedProblem is the fusion input partitioned by item shard: N
+// ShardedProblem is the fusion input partitioned by item range: N
 // per-shard Problems sharing one global dense source roster, plus the
-// merge plan and the global per-source claim counts the cross-shard
-// reductions read.
+// global per-source claim counts the cross-shard reductions read. Shard
+// order is item order, so an item's global index is its shard's base
+// plus its index in the shard.
 type ShardedProblem struct {
 	Spec model.ShardSpec
 	// SourceIDs is the shared roster: every part's dense source index s
@@ -101,15 +90,12 @@ type ShardedProblem struct {
 	// the shards' local counts — exact, integer), which the web-link
 	// methods read in place of a flat problem's local counts.
 	ClaimsPerSource []int
-	// CatNames is the global category table, numbered by first
-	// appearance in global item order exactly as a flat Build would.
-	CatNames []string
 
 	// MaxResident caps how many shard arenas stay resident (0 = all).
 	MaxResident int
 
-	parts []*shardPart
-	plan  []partRef
+	parts    []*shardPart
+	numItems int
 
 	ds    *model.Dataset
 	needs BuildOptions
@@ -125,7 +111,7 @@ type ShardedProblem struct {
 
 // NumItems returns the total claimed-item count across all shards (the
 // length of every global result vector).
-func (sp *ShardedProblem) NumItems() int { return len(sp.plan) }
+func (sp *ShardedProblem) NumItems() int { return sp.numItems }
 
 // NumShards returns the shard count.
 func (sp *ShardedProblem) NumShards() int { return len(sp.parts) }
@@ -157,17 +143,12 @@ func (sp *ShardedProblem) ArenaBytes() (total, maxShard int64) {
 // BuildSharded partitions the snapshot with the spec and builds one
 // problem per shard, keeping only claims by the given sources (nil =
 // all, as Build). maxResident > 0 bounds how many shard arenas stay
-// resident between passes; that memory-budget mode requires range
-// sharding, where shard order equals global item order and the
-// fixed-order trust merge can run shard by shard.
+// resident between passes.
 func BuildSharded(ds *model.Dataset, snap *model.Snapshot, sources []model.SourceID,
 	spec model.ShardSpec, needs BuildOptions, maxResident int) (*ShardedProblem, error) {
 
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	if maxResident > 0 && maxResident < spec.Shards && spec.Kind != model.ShardByRange {
-		return nil, fmt.Errorf("fusion: the shard memory budget needs range sharding (shard order must equal item order), got %v", spec.Kind)
 	}
 	if sources == nil {
 		sources = DefaultRoster(ds)
@@ -199,90 +180,37 @@ func BuildSharded(ds *model.Dataset, snap *model.Snapshot, sources []model.Sourc
 }
 
 // recordPart captures the stable per-shard metadata from a freshly
-// built problem.
+// built problem. A problem's offsets, claim counts and categories never
+// change after its build, so the part shares them.
 func recordPart(pt *shardPart, p *Problem) {
-	pt.items = make([]model.ItemID, len(p.Items))
-	for i := range p.Items {
-		pt.items[i] = p.Items[i].Item
-	}
-	pt.off = append([]int32(nil), p.BucketOff...)
+	pt.n = len(p.Items)
+	pt.off = p.BucketOff
 	pt.maxBuckets = p.MaxBuckets()
 	pt.arenaBytes = problemArenaBytes(p)
-	pt.localCPS = p.ClaimsPerSource
-	pt.localCats, pt.localCatNames = p.Cats, p.CatNames
+	pt.cps = p.ClaimsPerSource
+	pt.cats, pt.catNames = p.Cats, p.CatNames
 }
 
 // finishAssembly derives the cross-shard structures from the parts'
-// recorded metadata: the merge plan, the local->global item mapping, the
-// global claim counts and the globally renumbered category table. It
-// reads only the recorded metadata — no shard arena and no claim scan.
+// recorded metadata: each shard's global base and the global claim
+// counts. It reads only the recorded metadata — no shard arena and no
+// claim scan.
 func (sp *ShardedProblem) finishAssembly() {
-	total := 0
+	sp.numItems = 0
 	for _, pt := range sp.parts {
-		total += len(pt.items)
+		pt.base = sp.numItems
+		sp.numItems += pt.n
 	}
-	// N-way merge of the per-shard (ascending) item lists into global
-	// ItemID order. Shards partition the items, so IDs never tie.
-	plan := make([]partRef, 0, total)
-	heads := make([]int, len(sp.parts))
-	for {
-		best := -1
-		for k, pt := range sp.parts {
-			if heads[k] >= len(pt.items) {
-				continue
-			}
-			if best < 0 || pt.items[heads[k]] < sp.parts[best].items[heads[best]] {
-				best = k
-			}
-		}
-		if best < 0 {
-			break
-		}
-		plan = append(plan, partRef{part: int32(best), idx: int32(heads[best])})
-		heads[best]++
-	}
-	sp.plan = plan
-
-	for _, pt := range sp.parts {
-		pt.gidx = make([]int32, len(pt.items))
-		pt.cats = make([]int32, len(pt.items))
-	}
-	for g, ref := range plan {
-		sp.parts[ref.part].gidx[ref.idx] = int32(g)
-	}
-
 	// Global claim counts: exact integer sums of the recorded local
-	// counts.
-	sp.ClaimsPerSource = make([]int, len(sp.SourceIDs))
-	for _, pt := range sp.parts {
-		for s, c := range pt.localCPS {
-			sp.ClaimsPerSource[s] += c
-		}
-	}
-
-	// Category table: number categories by first appearance in global
-	// item order, exactly as assignCats does on a flat problem. Parts
-	// without category data (filterProblem output carries none, matching
-	// the flat known-groups path) leave the table empty.
-	haveCats := true
-	for _, pt := range sp.parts {
-		if len(pt.localCats) != len(pt.items) {
-			haveCats = false
-		}
-	}
-	if haveCats {
-		catIndex := make(map[string]int32)
-		sp.CatNames = nil
-		for _, ref := range plan {
-			pt := sp.parts[ref.part]
-			name := pt.localCatNames[pt.localCats[ref.idx]]
-			cat, ok := catIndex[name]
-			if !ok {
-				cat = int32(len(sp.CatNames))
-				catIndex[name] = cat
-				sp.CatNames = append(sp.CatNames, name)
+	// counts (one shard's are the global ones).
+	if len(sp.parts) == 1 {
+		sp.ClaimsPerSource = sp.parts[0].cps
+	} else {
+		sp.ClaimsPerSource = make([]int, len(sp.SourceIDs))
+		for _, pt := range sp.parts {
+			for s, c := range pt.cps {
+				sp.ClaimsPerSource[s] += c
 			}
-			pt.cats[ref.idx] = cat
 		}
 	}
 
@@ -295,6 +223,39 @@ func (sp *ShardedProblem) finishAssembly() {
 	if sp.residentBytes > sp.peakBytes {
 		sp.peakBytes = sp.residentBytes
 	}
+}
+
+// globalCats numbers the shards' categories by first appearance in
+// global item order, exactly as assignCats does on a flat problem, and
+// returns the category count with each shard's per-item categories. One
+// shard's own numbering is already the global one. Parts without
+// category data (filterProblem output carries none, matching the flat
+// known-groups path) yield no categories.
+func (sp *ShardedProblem) globalCats() (int, [][]int32) {
+	cats := make([][]int32, len(sp.parts))
+	for k, pt := range sp.parts {
+		if len(pt.cats) != pt.n {
+			return 0, nil
+		}
+		cats[k] = pt.cats
+	}
+	if len(sp.parts) == 1 {
+		return len(sp.parts[0].catNames), cats
+	}
+	catIndex := make(map[string]int32)
+	for k, pt := range sp.parts {
+		cats[k] = make([]int32, pt.n)
+		for i, c := range pt.cats {
+			name := pt.catNames[c]
+			cat, ok := catIndex[name]
+			if !ok {
+				cat = int32(len(catIndex))
+				catIndex[name] = cat
+			}
+			cats[k][i] = cat
+		}
+	}
+	return len(catIndex), cats
 }
 
 // load returns shard k's problem, rebuilding it if evicted. Rebuilds are
@@ -334,60 +295,50 @@ func (sp *ShardedProblem) release(k int) {
 // Resident mode: phases fan out across shards (shard-level concurrency
 // when there are at least as many shards as workers, shard-sequential
 // with the full inner parallelism otherwise — both bit-identical, since
-// phases write only disjoint per-shard state), then folds walk the merge
-// plan on the calling goroutine. Budget mode: shards are loaded, phased,
-// folded and released strictly in shard order, which equals global item
-// order because budget mode requires range sharding. Either way the fold
-// visits items in exactly the order the flat engine's trust loops do.
+// phases write only disjoint per-shard state) before the fold. Budget
+// mode: shards are loaded, phased, folded and released strictly in
+// shard order. Either way the fold visits items in shard order, which is
+// global item order — exactly the order the flat engine's trust loops
+// use.
 func (sp *ShardedProblem) sweep(parallelism int,
 	phase func(k int, p *Problem, par int),
 	fold func(k int, p *Problem, i, g int)) {
 
-	if !sp.budget() {
-		if phase != nil {
-			workers := parallel.Workers(parallelism)
-			if workers > 1 && len(sp.parts) >= workers {
-				tasks := make([]func(), len(sp.parts))
-				for k := range sp.parts {
-					k := k
-					tasks[k] = func() { phase(k, sp.load(k), 1) }
-				}
-				parallel.Run(parallelism, tasks)
-			} else {
-				for k := range sp.parts {
-					phase(k, sp.load(k), parallelism)
-				}
-			}
+	if !sp.budget() && phase != nil {
+		sp.phaseResident(parallelism, phase)
+		if fold == nil {
+			return
 		}
-		if fold != nil {
-			for g, ref := range sp.plan {
-				fold(int(ref.part), sp.load(int(ref.part)), int(ref.idx), g)
-			}
-		}
-		return
+		phase = nil
 	}
-	for k := range sp.parts {
+	for k, pt := range sp.parts {
 		p := sp.load(k)
 		if phase != nil {
 			phase(k, p, parallelism)
 		}
 		if fold != nil {
-			gi := sp.parts[k].gidx
-			for i := range p.Items {
-				fold(k, p, i, int(gi[i]))
+			for i := 0; i < pt.n; i++ {
+				fold(k, p, i, pt.base+i)
 			}
 		}
 		sp.release(k)
 	}
 }
 
-// walk visits every item in global item order without touching any
-// shard arena — for consumers that only need the persistent flat
-// vectors (score spaces, chosen, posteriors).
-func (sp *ShardedProblem) walk(f func(k, i, g int)) {
-	for g, ref := range sp.plan {
-		f(int(ref.part), int(ref.idx), g)
+// phaseResident fans a phase out over the resident shards.
+func (sp *ShardedProblem) phaseResident(parallelism int, phase func(k int, p *Problem, par int)) {
+	workers := parallel.Workers(parallelism)
+	if workers <= 1 || len(sp.parts) < workers {
+		for k := range sp.parts {
+			phase(k, sp.load(k), parallelism)
+		}
+		return
 	}
+	tasks := make([]func(), len(sp.parts))
+	for k := range sp.parts {
+		tasks[k] = func() { phase(k, sp.load(k), 1) }
+	}
+	parallel.Run(parallelism, tasks)
 }
 
 // ForEachItem visits every item of the sharded problem in global item
@@ -434,10 +385,12 @@ func innerWorkers(par int, temps workerRows) int {
 // chooseSharded picks every item's winning bucket from the persistent
 // score spaces (no arena loads).
 func chooseSharded(sp *ShardedProblem, spaces []voteSpace) []int32 {
-	chosen := make([]int32, len(sp.plan))
-	sp.walk(func(k, i, g int) {
-		chosen[g] = argmax32(spaces[k].row(i))
-	})
+	chosen := make([]int32, sp.NumItems())
+	for k, pt := range sp.parts {
+		for i := 0; i < pt.n; i++ {
+			chosen[pt.base+i] = argmax32(spaces[k].row(i))
+		}
+	}
 	return chosen
 }
 

@@ -76,10 +76,9 @@ func knownGroupsSharded(sp *ShardedProblem, opts Options) (*Result, error) {
 		fp := fsp.load(k)
 		fi := 0
 		for i := range p.Items {
-			g := sp.parts[k].gidx[i]
-			chosen[g] = 0
+			g := sp.parts[k].base + i
 			if fi < len(fp.Items) && fp.Items[fi].Item == p.Items[i].Item {
-				rep := fp.Items[fi].Buckets[res.Chosen[fsp.parts[k].gidx[fi]]].Rep
+				rep := fp.Items[fi].Buckets[res.Chosen[fsp.parts[k].base+fi]].Rep
 				for b, bk := range p.Items[i].Buckets {
 					if bk.Rep == rep {
 						chosen[g] = int32(b)

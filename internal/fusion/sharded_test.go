@@ -10,11 +10,11 @@ import (
 )
 
 // The sharded engine promises results bit-identical to the flat engine
-// at any shard count, any shard kind in resident mode, and any memory
-// budget in range mode. These in-package tests assert the contract on
-// the simulated churn world for every method (roster and extensions),
-// plus the incremental compose (ShardedState vs flat State) and the
-// arena-residency accounting. The cross-package suite
+// at any shard count, resident or under any memory budget. These
+// in-package tests assert the contract on the simulated churn world for
+// every method (roster and extensions), plus the incremental compose
+// (State advances vs from-scratch flat runs) and the arena-residency
+// accounting. The cross-package suite
 // (sharded_equiv_test.go at the repo root) repeats the core contract on
 // the calibrated Stock and Flight worlds under -race.
 
@@ -34,8 +34,6 @@ func shardedSpecs(numItems int) []struct {
 		{"range2", model.RangeShards(2, numItems), 0},
 		{"range7", model.RangeShards(7, numItems), 0},
 		{"rangeMax", model.RangeShards(0, numItems), 0}, // patched to GOMAXPROCS below
-		{"hash2", model.HashShards(2, numItems), 0},
-		{"hash7", model.HashShards(7, numItems), 0},
 		{"budget7r1", model.RangeShards(7, numItems), 1},
 		{"budget7r3", model.RangeShards(7, numItems), 3},
 	}
@@ -74,7 +72,7 @@ func sameShardedResult(t *testing.T, ctx string, flat, sharded *Result) {
 // TestShardedBitIdentical is the in-package acceptance contract: every
 // method of the roster (plus the Section 5 extensions) produces
 // bit-identical answers, trust vectors, posteriors and round counts at
-// every tested shard count, shard kind and memory budget.
+// every tested shard count and memory budget.
 func TestShardedBitIdentical(t *testing.T) {
 	ds, snaps := incWorld(t, 5, 1)
 	snap := snaps[0]
@@ -101,18 +99,6 @@ func TestShardedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedBudgetNeedsRange pins the sequential mode's precondition:
-// the fixed-order trust merge can only run shard-by-shard when shard
-// order equals item order.
-func TestShardedBudgetNeedsRange(t *testing.T) {
-	ds, snaps := incWorld(t, 5, 1)
-	_, _, err := FuseSharded(ds, snaps[0], nil, model.HashShards(4, snaps[0].NumItems()),
-		AccuPr{}, Options{}, 1)
-	if err == nil {
-		t.Fatal("hash sharding accepted under a memory budget")
-	}
-}
-
 // TestShardedKnownGroups checks the ACCUCOPY known-groups path maps
 // choices back to the unfiltered indexing exactly as the flat engine.
 func TestShardedKnownGroups(t *testing.T) {
@@ -123,18 +109,18 @@ func TestShardedKnownGroups(t *testing.T) {
 	m := AccuCopy{}
 	flat := m.Run(Build(ds, snap, nil, m.Needs()), opts)
 	for _, spec := range []model.ShardSpec{
+		model.RangeShards(1, snap.NumItems()),
 		model.RangeShards(3, snap.NumItems()),
-		model.HashShards(5, snap.NumItems()),
 	} {
 		res, _, err := FuseSharded(ds, snap, nil, spec, m, opts, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(flat.Chosen, res.Chosen) {
-			t.Fatalf("%v/%d: known-groups chosen differ", spec.Kind, spec.Shards)
+			t.Fatalf("%d shards: known-groups chosen differ", spec.Shards)
 		}
 		if !reflect.DeepEqual(flat.Trust, res.Trust) {
-			t.Fatalf("%v/%d: known-groups trust differs", spec.Kind, spec.Shards)
+			t.Fatalf("%d shards: known-groups trust differs", spec.Shards)
 		}
 	}
 }
@@ -164,7 +150,8 @@ func TestShardedInputTrust(t *testing.T) {
 // each day's delta to the shards and advancing them independently
 // produces answers and trust bit-identical to full flat fusion of every
 // day's snapshot, for the item-local path (Vote), the ACCU family and a
-// rescaling method, under both residency policies.
+// rescaling method, at one shard and at many, under both residency
+// policies.
 func TestShardedStateAdvance(t *testing.T) {
 	const days = 4
 	ds, snaps := incWorld(t, 9, days)
@@ -175,11 +162,11 @@ func TestShardedStateAdvance(t *testing.T) {
 		maxResident int
 	}{
 		{"range3", model.RangeShards(3, numItems), 0},
-		{"hash4", model.HashShards(4, numItems), 0},
+		{"range1", model.RangeShards(1, numItems), 0},
 		{"budget4r1", model.RangeShards(4, numItems), 1},
 	} {
 		for _, m := range []Method{Vote{}, AccuPr{}, AccuFormatAttr{}, TwoEstimates{}} {
-			st, err := NewShardedState(ds, snaps[0], nil, tc.spec, m, Options{}, tc.maxResident)
+			st, err := NewState(ds, snaps[0], nil, tc.spec, m, Options{}, tc.maxResident)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +226,7 @@ func TestShardedStateAdvanceUntouchedShards(t *testing.T) {
 	}
 
 	for _, m := range []Method{Vote{}, AccuPr{}} {
-		st, err := NewShardedState(ds, base, nil, spec, m, Options{}, 0)
+		st, err := NewState(ds, base, nil, spec, m, Options{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,15 +337,15 @@ func TestShardedBudgetRebuilds(t *testing.T) {
 }
 
 // TestShardedProblemShape sanity-checks the assembled structures: the
-// plan enumerates every claimed item exactly once in ascending ItemID
+// shards enumerate every claimed item exactly once in ascending ItemID
 // order, and the global claim counts match the flat problem's.
 func TestShardedProblemShape(t *testing.T) {
 	ds, snaps := incWorld(t, 5, 1)
 	snap := snaps[0]
 	flat := Build(ds, snap, nil, BuildOptions{NeedSimilarity: true, NeedFormat: true})
 	for _, spec := range []model.ShardSpec{
+		model.RangeShards(1, snap.NumItems()),
 		model.RangeShards(4, snap.NumItems()),
-		model.HashShards(4, snap.NumItems()),
 	} {
 		sp, err := BuildSharded(ds, snap, nil, spec,
 			BuildOptions{NeedSimilarity: true, NeedFormat: true}, 0)
@@ -366,23 +353,23 @@ func TestShardedProblemShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		if sp.NumItems() != len(flat.Items) {
-			t.Fatalf("%v: %d items, want %d", spec.Kind, sp.NumItems(), len(flat.Items))
+			t.Fatalf("%d shards: %d items, want %d", spec.Shards, sp.NumItems(), len(flat.Items))
 		}
 		if !reflect.DeepEqual(sp.ClaimsPerSource, flat.ClaimsPerSource) {
-			t.Fatalf("%v: global claim counts differ", spec.Kind)
+			t.Fatalf("%d shards: global claim counts differ", spec.Shards)
 		}
 		g := 0
 		sp.ForEachItem(func(gi int, it *ProblemItem) {
 			if gi != g {
-				t.Fatalf("%v: walk order broke at %d", spec.Kind, gi)
+				t.Fatalf("%d shards: walk order broke at %d", spec.Shards, gi)
 			}
 			if !reflect.DeepEqual(*it, flat.Items[g]) {
-				t.Fatalf("%v: item %d differs from flat problem", spec.Kind, g)
+				t.Fatalf("%d shards: item %d differs from flat problem", spec.Shards, g)
 			}
 			g++
 		})
 		if g != len(flat.Items) {
-			t.Fatalf("%v: walked %d items, want %d", spec.Kind, g, len(flat.Items))
+			t.Fatalf("%d shards: walked %d items, want %d", spec.Shards, g, len(flat.Items))
 		}
 	}
 }

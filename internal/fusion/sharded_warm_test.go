@@ -6,64 +6,170 @@ import (
 	"testing"
 
 	"truthdiscovery/internal/model"
+	"truthdiscovery/internal/parallel"
 )
 
-// The sharded warm path's contract: on the same snapshot and tolerance
-// it is bit-identical to the flat warm path — same global tables, same
-// pure per-item posterior kernel, same global-item-order trust fold,
-// same drift test — at any shard count and under a resident-arena
-// budget.
+// The warm path's contract: on the same snapshot and tolerance it is
+// bit-identical to the flat warm reference below (accuWarm) — same
+// global tables, same pure per-item posterior kernel, same
+// global-item-order trust fold, same drift test — at one shard, at many
+// and under a resident-arena budget.
+
+// accuWarm is the dirty-only warm path of the ACCU family: posteriors are
+// recomputed only for the rebuilt items, trust is re-estimated over the
+// full item set (reading the previous posteriors for clean items), and the
+// iteration is accepted only while no trust entry drifts more than tol
+// from the previous converged trust. Returns ok=false — fall back to full
+// re-fusion — when the drift bound trips, when sampled trust is supplied
+// (no estimation loop to warm), or when the previous result lacks the
+// needed state.
+func accuWarm(p *Problem, opts Options, cfg accuConfig, prev *Result, prevIdx, dirtyIdx []int, tol float64) (*Result, bool) {
+	opts = opts.withDefaults()
+	if opts.InputTrust != nil || (cfg.perAttr && opts.InputAttrTrust != nil) {
+		return nil, false
+	}
+	if prev.Posteriors == nil || prev.Chosen == nil {
+		return nil, false
+	}
+	numKeys, keyOf := keySetup(p, cfg)
+	trust := &accuTrust{keyed: numKeys > 0}
+	var baseGlobal []float64
+	var baseKeyed [][]float64
+	if trust.keyed {
+		if prev.AttrTrust == nil {
+			return nil, false // keyed state not carried (e.g. perCat)
+		}
+		trust.byKey = make([][]float64, len(prev.AttrTrust))
+		baseKeyed = make([][]float64, len(prev.AttrTrust))
+		for s := range prev.AttrTrust {
+			if len(prev.AttrTrust[s]) != numKeys {
+				return nil, false
+			}
+			trust.byKey[s] = append([]float64(nil), prev.AttrTrust[s]...)
+			baseKeyed[s] = prev.AttrTrust[s]
+		}
+	} else {
+		if prev.Trust == nil {
+			return nil, false
+		}
+		trust.global = append([]float64(nil), prev.Trust...)
+		baseGlobal = prev.Trust
+	}
+
+	// Posteriors: clean items share the previous rows (read-only), rebuilt
+	// items get fresh rows seeded with the VOTE prior like a cold start.
+	probs := make([][]float64, len(p.Items))
+	chosen := make([]int32, len(p.Items))
+	for i := range p.Items {
+		if pi := prevIdx[i]; pi >= 0 {
+			probs[i] = prev.Posteriors[pi]
+			chosen[i] = prev.Chosen[pi]
+			continue
+		}
+		it := &p.Items[i]
+		row := make([]float64, len(it.Buckets))
+		for b, bk := range it.Buckets {
+			row[b] = float64(len(bk.Sources)) / float64(it.Providers)
+		}
+		probs[i] = row
+	}
+
+	res := &Result{Method: cfg.name}
+	sc := newAccuScratch(p, numKeys, opts, cfg)
+	postPhase := accuPostPhase(p, opts, cfg, keyOf, sc, probs, chosen, dirtyIdx, nil)
+	for round := 1; ; round++ {
+		res.Rounds = round
+		sc.tables.update(trust)
+		parallel.ForWorker(len(dirtyIdx), sc.temps.workers, postPhase)
+		delta := accuReestimate(p, trust, probs, keyOf, numKeys, sc)
+		if drift := trustDrift(trust, baseGlobal, baseKeyed); drift > tol {
+			return nil, false
+		}
+		if delta < opts.Epsilon || round >= opts.MaxRounds {
+			res.Converged = delta < opts.Epsilon
+			break
+		}
+	}
+
+	accuFinish(p, cfg, trust, probs, chosen, keyOf, res)
+	return res, true
+}
+
+// flatWarmRef is the flat warm reference chain: a snapshot, its problem
+// and the result of the last run on it.
+type flatWarmRef struct {
+	snap *model.Snapshot
+	p    *Problem
+	res  *Result
+}
+
+// advance moves the reference across delta by Apply, UpdateProblem and
+// accuWarm, reporting whether the warm iteration stayed in tolerance.
+func (r flatWarmRef) advance(t *testing.T, ds *model.Dataset, delta *model.Delta, m Method, tol float64) (flatWarmRef, bool) {
+	t.Helper()
+	snap, err := r.snap.Apply(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, rebuilt := UpdateProblem(ds, snap, r.p, delta.DirtyItems(), m.Needs())
+	res, ok := accuWarm(p, Options{}, m.(accuConfigured).accuCfg(), r.res, alignItems(p, r.p, rebuilt), rebuilt, tol)
+	return flatWarmRef{snap: snap, p: p, res: res}, ok
+}
 
 // TestShardedWarmMatchesFlatWarm advances the same churn stream through
-// the flat and the sharded engine with a positive trust tolerance and
-// demands the warm path run on both with bitwise-equal results, for a
-// global-trust method (AccuPr), a popularity-weighted one (PopAccu) and
-// a keyed one (AccuFormatAttr).
+// the state at one and at four shards and through the flat warm
+// reference with a positive trust tolerance, and demands the warm path
+// run on all with bitwise-equal results, for a global-trust method
+// (AccuPr), a popularity-weighted one (PopAccu) and a keyed one
+// (AccuFormatAttr).
 func TestShardedWarmMatchesFlatWarm(t *testing.T) {
 	ds, snaps := incWorld(t, 13, 4)
-	spec := model.RangeShards(4, snaps[0].NumItems())
 	const tol = 0.05
 	for _, name := range []string{"AccuPr", "PopAccu", "AccuFormatAttr"} {
-		for _, maxResident := range []int{0, 1} {
+		for _, tc := range []struct{ shards, maxResident int }{{1, 0}, {4, 0}, {4, 1}} {
 			m, _ := ByName(name)
 			opts := Options{}
 			inc := IncrementalOptions{TrustTolerance: tol}
+			spec := model.RangeShards(tc.shards, snaps[0].NumItems())
 
-			flat := NewState(ds, snaps[0], nil, m, opts)
-			shd, err := NewShardedState(ds, snaps[0], nil, spec, m, opts, maxResident)
+			p0 := Build(ds, snaps[0], nil, m.Needs())
+			ref := flatWarmRef{snap: snaps[0], p: p0, res: m.Run(p0, opts)}
+			st, err := NewState(ds, snaps[0], nil, spec, m, opts, tc.maxResident)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameRun(t, fmt.Sprintf("%s resident=%d day 0", name, maxResident), shd.Result, flat.Result)
+			label := fmt.Sprintf("%s shards=%d resident=%d", name, tc.shards, tc.maxResident)
+			sameRun(t, label+" day 0", st.Result, ref.res)
 
 			for d := 1; d < len(snaps); d++ {
-				ctx := fmt.Sprintf("%s resident=%d day %d", name, maxResident, d)
+				ctx := fmt.Sprintf("%s day %d", label, d)
 				delta, err := snaps[d-1].Diff(snaps[d])
 				if err != nil {
 					t.Fatal(err)
 				}
-				nextFlat, fstats, err := flat.Advance(ds, delta, opts, inc)
+				nextRef, ok := ref.advance(t, ds, delta, m, tol)
+				if !ok {
+					t.Fatalf("%s: the flat warm reference drifted past the tolerance", ctx)
+				}
+				next, stats, err := st.Advance(ds, delta, opts, inc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				nextShd, sstats, err := shd.Advance(ds, delta, opts, inc)
-				if err != nil {
-					t.Fatal(err)
+				if stats.Mode != ModeWarm {
+					t.Fatalf("%s: mode %s (fallback=%v), want warm", ctx, stats.Mode, stats.Fallback)
 				}
-				if fstats.Mode != ModeWarm {
-					t.Fatalf("%s: flat mode %s (fallback=%v), want warm", ctx, fstats.Mode, fstats.Fallback)
+				sameRun(t, ctx, next.Result, nextRef.res)
+				wantLayout, maxDirty := LayoutSharded, tc.shards
+				if tc.shards == 1 {
+					wantLayout, maxDirty = LayoutFlat, 0
 				}
-				if sstats.Mode != ModeWarm {
-					t.Fatalf("%s: sharded mode %s (fallback=%v), want warm", ctx, sstats.Mode, sstats.Fallback)
+				if stats.Plan == nil || stats.Plan.Layout != wantLayout {
+					t.Fatalf("%s: plan %+v, want layout %s", ctx, stats.Plan, wantLayout)
 				}
-				sameRun(t, ctx, nextShd.Result, nextFlat.Result)
-				if sstats.Plan == nil || sstats.Plan.Layout != LayoutSharded {
-					t.Fatalf("%s: sharded plan not recorded: %+v", ctx, sstats.Plan)
+				if dirty := stats.Plan.Features.DirtyShards; dirty > maxDirty || (maxDirty > 0 && dirty < 1) {
+					t.Fatalf("%s: dirty shards %d out of range", ctx, dirty)
 				}
-				if sstats.Plan.Features.DirtyShards < 1 || sstats.Plan.Features.DirtyShards > 4 {
-					t.Fatalf("%s: dirty shards %d out of range", ctx, sstats.Plan.Features.DirtyShards)
-				}
-				flat, shd = nextFlat, nextShd
+				st, ref = next, nextRef
 			}
 		}
 	}
@@ -78,7 +184,7 @@ func TestShardedWarmFallsBack(t *testing.T) {
 	spec := model.RangeShards(4, snaps[0].NumItems())
 	m, _ := ByName("AccuPr")
 	opts := Options{}
-	st, err := NewShardedState(ds, snaps[0], nil, spec, m, opts, 0)
+	st, err := NewState(ds, snaps[0], nil, spec, m, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +215,7 @@ func TestShardedDirtyShardFanOut(t *testing.T) {
 	spec := model.RangeShards(5, snaps[0].NumItems())
 	m, _ := ByName("AccuPr")
 	opts := Options{}
-	st, err := NewShardedState(ds, snaps[0], nil, spec, m, opts, 0)
+	st, err := NewState(ds, snaps[0], nil, spec, m, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +291,7 @@ func TestShardedWarmAllocatesRebuiltRows(t *testing.T) {
 	forced := func(path AdvanceMode) IncrementalOptions {
 		return IncrementalOptions{TrustTolerance: 1, Planner: &Planner{Mode: PlannerForced, ForcePath: path}}
 	}
-	st, err := NewShardedState(ds, snaps[0], nil, spec, m, opts, 0)
+	st, err := NewState(ds, snaps[0], nil, spec, m, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +305,7 @@ func TestShardedWarmAllocatesRebuiltRows(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		var next *ShardedState
+		var next *State
 		var stats IncrementalStats
 		warmBytes := allocatedBytes(func() {
 			if next, stats, err = st.Advance(ds, delta, opts, forced(ModeWarm)); err != nil {

@@ -3,67 +3,31 @@ package model
 import "fmt"
 
 // Item sharding: the partitioning layer under the sharded fusion engine.
-// A ShardSpec assigns every item to exactly one of Shards shards via a
-// pure function of the item ID, so the assignment is stable across runs,
-// processes and machines. Snapshots and deltas both partition cleanly by
+// A ShardSpec splits the item-ID space into contiguous ranges, a pure
+// function of the item ID, so the assignment is stable across runs,
+// processes and machines, and global item order is "shard 0's items,
+// then shard 1's, ...". Snapshots and deltas both partition cleanly by
 // item — a claim belongs to its item's shard, and a delta operation keys
 // on the item whose claim set it edits — which is what lets per-item
-// fusion phases run shard-by-shard while trust estimation merges across
-// shards in one deterministic pass.
+// fusion phases run shard by shard while trust estimation merges across
+// shards in one deterministic pass, in shard order.
 
-// ShardKind selects how items map to shards.
-type ShardKind uint8
-
-const (
-	// ShardByRange splits the item-ID space [0, NumItems) into Shards
-	// contiguous ranges (shard boundaries at i*NumItems/Shards). Global
-	// item order then equals "shard 0's items, then shard 1's, ...",
-	// the invariant the sharded fusion engine's sequential memory-budget
-	// mode relies on for its fixed-order trust merge.
-	ShardByRange ShardKind = iota
-	// ShardByHash scatters items with a fixed 64-bit mix of the item ID.
-	// The mix constants are frozen: the same item maps to the same shard
-	// in every run and on every architecture.
-	ShardByHash
-)
-
-// String names the kind.
-func (k ShardKind) String() string {
-	switch k {
-	case ShardByRange:
-		return "range"
-	case ShardByHash:
-		return "hash"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
-}
-
-// ShardSpec is a stable item partitioning: Shards shards over the item
-// table, assigned by Kind. The zero value is invalid; use RangeShards or
-// HashShards.
+// ShardSpec is a stable item partitioning: Shards contiguous ranges over
+// an item table of NumItems entries, with shard boundaries at
+// i*NumItems/Shards. The zero value is invalid; use RangeShards.
 type ShardSpec struct {
 	// Shards is the shard count (>= 1).
 	Shards int
-	// Kind selects the assignment function.
-	Kind ShardKind
-	// NumItems is the item-table size the spec partitions. Required for
-	// ShardByRange (it defines the range boundaries); for ShardByHash it
-	// is carried only so Snapshot.Shard and Delta.Split can verify the
-	// spec matches the data they partition.
+	// NumItems is the item-table size the spec partitions: it defines the
+	// range boundaries, and Snapshot.Shard and Delta.Split verify the spec
+	// matches the data they partition.
 	NumItems int
 }
 
-// RangeShards returns a range-based spec over an item table of the given
-// size.
+// RangeShards returns a spec of the given shard count over an item table
+// of the given size.
 func RangeShards(shards, numItems int) ShardSpec {
-	return ShardSpec{Shards: shards, Kind: ShardByRange, NumItems: numItems}
-}
-
-// HashShards returns a hash-based spec over an item table of the given
-// size.
-func HashShards(shards, numItems int) ShardSpec {
-	return ShardSpec{Shards: shards, Kind: ShardByHash, NumItems: numItems}
+	return ShardSpec{Shards: shards, NumItems: numItems}
 }
 
 // Validate reports whether the spec is usable. An empty item table
@@ -76,31 +40,13 @@ func (sp ShardSpec) Validate() error {
 	if sp.NumItems < 0 {
 		return fmt.Errorf("model: shard spec needs a non-negative item-table size, got %d", sp.NumItems)
 	}
-	if sp.Kind != ShardByRange && sp.Kind != ShardByHash {
-		return fmt.Errorf("model: unknown shard kind %v", sp.Kind)
-	}
 	return nil
-}
-
-// mix64 is the splitmix64 finalizer. The constants are part of the
-// sharding contract — changing them would silently re-home every item —
-// so they are frozen here rather than delegated to a library hash.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // ShardOf returns the shard the item belongs to: a pure function of
 // (spec, item), stable across runs.
 func (sp ShardSpec) ShardOf(item ItemID) int {
-	if sp.Kind == ShardByRange {
-		return int(uint64(item) * uint64(sp.Shards) / uint64(sp.NumItems))
-	}
-	return int(mix64(uint64(item)) % uint64(sp.Shards))
+	return int(uint64(item) * uint64(sp.Shards) / uint64(sp.NumItems))
 }
 
 // checkSpec validates the spec against a partitioned structure's item
@@ -121,9 +67,13 @@ func (sp ShardSpec) checkSpec(numItems int, what string) error {
 // claim order. Every shard keeps the full item table (item IDs stay
 // global) and the snapshot's Day/Label identity, so a shard snapshot is
 // a first-class Snapshot — it indexes, diffs and applies like any other.
+// A one-shard spec returns the receiver itself: nothing is copied.
 func (s *Snapshot) Shard(sp ShardSpec) ([]*Snapshot, error) {
 	if err := sp.checkSpec(s.numItems, "snapshot"); err != nil {
 		return nil, err
+	}
+	if sp.Shards == 1 {
+		return []*Snapshot{s}, nil
 	}
 	// Counting pass sizes each shard's claim slice exactly; the item
 	// index makes the per-item shard lookup one call per item, not one
@@ -162,10 +112,14 @@ func (s *Snapshot) Shard(sp ShardSpec) ([]*Snapshot, error) {
 // op order, so applying split[k] to the base's shard k reproduces the
 // target's shard k (asserted by the shard property tests). Op-list
 // order is preserved, so a sorted delta (Diff output) splits into
-// sorted shard deltas and the Apply fast path survives the routing.
+// sorted shard deltas and the Apply fast path survives the routing. A
+// one-shard spec returns the receiver itself: nothing is copied.
 func (d *Delta) Split(sp ShardSpec) ([]*Delta, error) {
 	if err := sp.checkSpec(d.NumItems, "delta"); err != nil {
 		return nil, err
+	}
+	if sp.Shards == 1 {
+		return []*Delta{d}, nil
 	}
 	out := make([]*Delta, sp.Shards)
 	for k := range out {

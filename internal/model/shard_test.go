@@ -8,32 +8,34 @@ import (
 	"truthdiscovery/internal/value"
 )
 
-// specsFor returns both shard kinds at several shard counts for an item
+// specsFor returns range specs at several shard counts for an item
 // table of the given size.
 func specsFor(numItems int) []ShardSpec {
 	var out []ShardSpec
 	for _, n := range []int{1, 2, 3, 7} {
-		out = append(out, RangeShards(n, numItems), HashShards(n, numItems))
+		out = append(out, RangeShards(n, numItems))
 	}
 	return out
 }
 
-// TestShardOfStable pins the assignment function: ShardOf is a pure
-// function of (spec, item) — two identical specs agree item by item —
-// and the hash constants are frozen (a change would silently re-home
-// every stored shard), so a few concrete assignments are pinned too.
+// TestShardOfStable pins the assignment function: ShardOf is a pure,
+// monotone function of (spec, item) — two identical specs agree item by
+// item, and shard order is item order — so a few concrete assignments
+// are pinned too.
 func TestShardOfStable(t *testing.T) {
 	const numItems = 1000
 	for _, sp := range specsFor(numItems) {
-		dup := ShardSpec{Shards: sp.Shards, Kind: sp.Kind, NumItems: sp.NumItems}
+		dup := ShardSpec{Shards: sp.Shards, NumItems: sp.NumItems}
+		prev := 0
 		for item := 0; item < numItems; item++ {
 			k := sp.ShardOf(ItemID(item))
-			if k < 0 || k >= sp.Shards {
-				t.Fatalf("%v/%d: item %d mapped to shard %d", sp.Kind, sp.Shards, item, k)
+			if k < 0 || k >= sp.Shards || k < prev {
+				t.Fatalf("%d shards: item %d mapped to shard %d after shard %d", sp.Shards, item, k, prev)
 			}
 			if dup.ShardOf(ItemID(item)) != k {
-				t.Fatalf("%v/%d: item %d not stable across spec copies", sp.Kind, sp.Shards, item)
+				t.Fatalf("%d shards: item %d not stable across spec copies", sp.Shards, item)
 			}
+			prev = k
 		}
 	}
 
@@ -45,23 +47,14 @@ func TestShardOfStable(t *testing.T) {
 			t.Fatalf("range ShardOf(%d) = %d, want %d", item, got, want)
 		}
 	}
-	// Frozen splitmix64 assignments (would change only if the mix
-	// constants changed, which the sharding contract forbids).
-	hs := HashShards(7, 1000)
-	for id, want := range map[ItemID]int{0: 0, 1: 6, 2: 1, 3: 4, 999: 0} {
-		if got := hs.ShardOf(id); got != want {
-			t.Fatalf("hash ShardOf(%d) = %d, want pinned %d", id, got, want)
-		}
-	}
 }
 
 // TestShardSpecValidate checks the misuse guards.
 func TestShardSpecValidate(t *testing.T) {
 	for _, sp := range []ShardSpec{
 		{},
-		{Shards: 0, Kind: ShardByRange, NumItems: 10},
-		{Shards: 2, Kind: ShardByRange, NumItems: -1},
-		{Shards: 2, Kind: ShardKind(9), NumItems: 10},
+		{Shards: 0, NumItems: 10},
+		{Shards: 2, NumItems: -1},
 	} {
 		if err := sp.Validate(); err == nil {
 			t.Fatalf("spec %+v validated", sp)
@@ -114,23 +107,23 @@ func TestSnapshotShardPartition(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(shards) != sp.Shards {
-			t.Fatalf("%v/%d: %d shards", sp.Kind, sp.Shards, len(shards))
+			t.Fatalf("%d shards: %d shards", sp.Shards, len(shards))
 		}
 		total := 0
 		for k, sh := range shards {
 			if sh.Day != snap.Day || sh.Label != snap.Label || sh.NumItems() != numItems {
-				t.Fatalf("%v/%d: shard %d identity %d %q %d", sp.Kind, sp.Shards, k, sh.Day, sh.Label, sh.NumItems())
+				t.Fatalf("%d shards: shard %d identity %d %q %d", sp.Shards, k, sh.Day, sh.Label, sh.NumItems())
 			}
 			total += len(sh.Claims)
 			for i := range sh.Claims {
 				if got := sp.ShardOf(sh.Claims[i].Item); got != k {
-					t.Fatalf("%v/%d: claim on item %d in shard %d, ShardOf says %d",
-						sp.Kind, sp.Shards, sh.Claims[i].Item, k, got)
+					t.Fatalf("%d shards: claim on item %d in shard %d, ShardOf says %d",
+						sp.Shards, sh.Claims[i].Item, k, got)
 				}
 			}
 		}
 		if total != len(snap.Claims) {
-			t.Fatalf("%v/%d: %d claims across shards, want %d", sp.Kind, sp.Shards, total, len(snap.Claims))
+			t.Fatalf("%d shards: %d claims across shards, want %d", sp.Shards, total, len(snap.Claims))
 		}
 		// Per-item claim slices are identical on the owning shard, and the
 		// shard's index agrees with the full snapshot's.
@@ -141,7 +134,7 @@ func TestSnapshotShardPartition(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v/%d: item %d claims differ on its shard", sp.Kind, sp.Shards, item)
+				t.Fatalf("%d shards: item %d claims differ on its shard", sp.Shards, item)
 			}
 		}
 	}
@@ -197,17 +190,17 @@ func checkSplitReassembles(t *testing.T, base, targetFull *Snapshot, d *Delta, s
 			got += p.Size()
 		}
 		if got != d.Size() {
-			t.Fatalf("%v/%d: split ops %d, want %d", sp.Kind, sp.Shards, got, d.Size())
+			t.Fatalf("%d shards: split ops %d, want %d", sp.Shards, got, d.Size())
 		}
 	}
 	for k := range parts {
 		applied, err := baseShards[k].Apply(parts[k])
 		if err != nil {
-			t.Fatalf("%v/%d shard %d: %v", sp.Kind, sp.Shards, k, err)
+			t.Fatalf("%d shards, shard %d: %v", sp.Shards, k, err)
 		}
 		if !reflect.DeepEqual(applied.Claims, targetShards[k].Claims) {
-			t.Fatalf("%v/%d shard %d: per-shard apply diverged from sharded target",
-				sp.Kind, sp.Shards, k)
+			t.Fatalf("%d shards, shard %d: per-shard apply diverged from sharded target",
+				sp.Shards, k)
 		}
 		// Dirty worklists partition too: shard k's dirty items are exactly
 		// the full delta's dirty items that map to shard k.
@@ -222,14 +215,13 @@ func checkSplitReassembles(t *testing.T, base, targetFull *Snapshot, d *Delta, s
 			continue
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v/%d shard %d: dirty items %v, want %v", sp.Kind, sp.Shards, k, got, want)
+			t.Fatalf("%d shards, shard %d: dirty items %v, want %v", sp.Shards, k, got, want)
 		}
 	}
 }
 
 // TestDeltaSplitReassembles is the randomised routing property over many
-// worlds, both shard kinds, several shard counts, for Diff-produced
-// (sorted) deltas.
+// worlds and several shard counts, for Diff-produced (sorted) deltas.
 func TestDeltaSplitReassembles(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const numItems, numSources = 60, 10
@@ -280,9 +272,9 @@ func TestDeltaSplitHandAssembled(t *testing.T) {
 // FuzzDeltaSplit fuzzes the routing property: arbitrary seeds drive the
 // world, the churn and the spec, and the reassembly must hold exactly.
 func FuzzDeltaSplit(f *testing.F) {
-	f.Add(int64(1), uint8(2), false)
-	f.Add(int64(9), uint8(5), true)
-	f.Fuzz(func(t *testing.T, seed int64, shards uint8, hashed bool) {
+	f.Add(int64(1), uint8(2))
+	f.Add(int64(9), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, shards uint8) {
 		if shards == 0 {
 			shards = 1
 		}
@@ -302,10 +294,36 @@ func FuzzDeltaSplit(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp := RangeShards(int(shards), numItems)
-		if hashed {
-			sp = HashShards(int(shards), numItems)
-		}
-		checkSplitReassembles(t, base, target, d, sp)
+		checkSplitReassembles(t, base, target, d, RangeShards(int(shards), numItems))
 	})
+}
+
+// TestOneShardAliases pins the one-shard layout's zero-copy contract:
+// Shard and Split return their receiver, so a one-shard fused state
+// works on the caller's snapshot and delta directly.
+func TestOneShardAliases(t *testing.T) {
+	base := snapOf(t, 0, "d0", 8, []Claim{c(0, 1, 5), c(1, 2, 6), c(0, 4, 9)})
+	target := snapOf(t, 1, "d1", 8, []Claim{c(0, 1, 5), c(1, 2, 7)})
+	d, err := base.Diff(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := RangeShards(1, 8)
+	shards, err := base.Shard(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shards) != 1 || shards[0] != base {
+		t.Fatal("one-shard Shard copied the snapshot")
+	}
+	parts, err := d.Split(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) != 1 || parts[0] != d {
+		t.Fatal("one-shard Split copied the delta")
+	}
+	if _, err := d.Split(RangeShards(1, 9)); err == nil {
+		t.Fatal("one-shard Split skipped the item-table check")
+	}
 }

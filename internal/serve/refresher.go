@@ -27,7 +27,7 @@ type Refresher struct {
 	mu sync.Mutex
 
 	DS     *model.Dataset
-	Engine Engine
+	Engine *Engine
 	Server *Server
 	// Store, when non-nil, receives one persisted run per published view
 	// and assigns the view versions. Without a store, versions count up
@@ -50,7 +50,7 @@ type Refresher struct {
 // given snapshot identity (day0 of the stream). eng may be nil for a
 // store-only server that will Resume a persisted run and never refresh
 // (Publish and Apply then return errors instead of fusing).
-func NewRefresher(ds *model.Dataset, eng Engine, srv *Server, st *store.Store,
+func NewRefresher(ds *model.Dataset, eng *Engine, srv *Server, st *store.Store,
 	fingerprint string, day int, label string, opts fusion.Options) *Refresher {
 	return &Refresher{
 		DS: ds, Engine: eng, Server: srv, Store: st,

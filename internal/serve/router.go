@@ -48,9 +48,6 @@ func NewRouter(ds *model.Dataset, spec model.ShardSpec, bounds []int, addrs []st
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.Kind != model.ShardByRange {
-		return nil, fmt.Errorf("serve: the router needs range sharding (worker order must be item order)")
-	}
 	if len(bounds) != len(addrs)+1 || bounds[0] != 0 || bounds[len(bounds)-1] != spec.Shards {
 		return nil, fmt.Errorf("serve: bounds %v do not tile %d shards across %d workers", bounds, spec.Shards, len(addrs))
 	}

@@ -136,7 +136,7 @@ func matchAnswers(t *testing.T, ctx string, got wireAnswers, want []fusion.Answe
 
 func newRefresher(t *testing.T, w *testWorld, method string, withStore bool) (*Refresher, *Server) {
 	t.Helper()
-	eng, err := NewFlatEngine(w.ds, w.snaps[0], nil, method, fusion.Options{})
+	eng, err := NewEngine(w.ds, w.snaps[0], nil, method, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +204,7 @@ func TestEndpoints(t *testing.T) {
 	if len(trust.Sources) != 5 || trust.Sources[4].Name != "src4" {
 		t.Fatalf("trust: %+v", trust)
 	}
-	eng := r.Engine.(*FlatEngine)
-	_, res := eng.Current(w.ds)
+	_, res := r.Engine.Current(w.ds)
 	for i, s := range trust.Sources {
 		if math.Float64bits(s.Trust) != math.Float64bits(res.Trust[i]) {
 			t.Fatalf("trust[%d]: %v vs %v", i, s.Trust, res.Trust[i])

@@ -114,137 +114,74 @@ func sourceNamesFor(ds *model.Dataset, roster []model.SourceID) []string {
 }
 
 // EngineOptions mirror the execution knobs of the public FuseOptions
-// that pick and configure a serving engine. Except for TrustTolerance
-// (an explicitly approximate knob) they are execution choices only —
+// that configure a serving engine. Except for TrustTolerance (an
+// explicitly approximate knob) they are execution choices only —
 // answers are bit-identical at any setting.
 type EngineOptions struct {
 	// Parallelism bounds the fusion worker pool (0 = GOMAXPROCS,
 	// 1 = serial).
 	Parallelism int
-	// Shards > 1 selects the sharded engine with that many range shards;
-	// 0 or 1 selects the flat engine.
+	// Shards > 1 lays the items out over that many range shards; 0 or 1
+	// is one shard (the flat layout) unless the planner's arena budget
+	// asks for more.
 	Shards int
 	// MaxResidentShards (with Shards > 1) bounds how many shard arenas
 	// stay resident at once (0 = all).
 	MaxResidentShards int
 	// TrustTolerance > 0 enables the dirty-only warm path on every
-	// advance (both engines), falling back to the exact full iteration
-	// when any source's trust drifts past it. 0 keeps every advance
-	// bit-identical to a full Fuse.
+	// advance, falling back to the exact full iteration when any source's
+	// trust drifts past it. 0 keeps every advance bit-identical to a full
+	// Fuse.
 	TrustTolerance float64
 	// Planner, when set, plans each advance's execution path from the
-	// delta's measured features (see fusion.Planner). The decision lands
-	// in every advance's IncrementalStats and is surfaced by /v1/stats.
+	// delta's measured features (see fusion.Planner); its arena budget
+	// picks the layout when Shards is unset. The decision lands in every
+	// advance's IncrementalStats and is surfaced by /v1/stats.
 	Planner *fusion.Planner
 }
 
-// NewEngine builds the serving engine the options call for: the flat
-// incremental engine for Shards <= 1, the sharded one otherwise. This is
-// the single constructor commands should use — the flat-vs-sharded
-// branching lives here, not at every call site. Options are assumed
-// validated (truthdiscovery.FuseOptions.Validate); out-of-range values
-// are clamped, never guessed into a different engine.
-func NewEngine(ds *model.Dataset, snap *model.Snapshot, sources []model.SourceID,
-	method string, opts EngineOptions) (Engine, error) {
-	fo := fusion.Options{Parallelism: opts.Parallelism}
-	inc := fusion.IncrementalOptions{TrustTolerance: opts.TrustTolerance, Planner: opts.Planner}
-	if opts.Shards > 1 {
-		eng, err := NewShardedEngine(ds, snap, sources, method, opts.Shards, opts.MaxResidentShards, fo)
-		if err != nil {
-			return nil, err
-		}
-		eng.inc = inc
-		return eng, nil
-	}
-	eng, err := NewFlatEngine(ds, snap, sources, method, fo)
-	if err != nil {
-		return nil, err
-	}
-	eng.inc = inc
-	return eng, nil
-}
-
 // Engine is the fusion backend a Refresher advances across the delta
-// stream: the flat incremental engine or the sharded one. Both are exact
-// (bit-identical to a full Fuse of each day's snapshot).
-type Engine interface {
-	// Method returns the fusion method name the engine runs.
-	Method() string
-	// Roster returns the fused source roster in dense problem order.
-	Roster() []model.SourceID
-	// Current renders the engine's present answers and result.
-	Current(ds *model.Dataset) ([]fusion.Answer, *fusion.Result)
-	// Advance moves the engine across one delta.
-	Advance(ds *model.Dataset, dl *model.Delta, opts fusion.Options) (fusion.IncrementalStats, error)
-}
-
-// FlatEngine serves the flat stateful engine (fusion.State).
-type FlatEngine struct {
+// stream: one fused state over its range shards, one shard being the
+// flat layout. Advances are exact (bit-identical to a full Fuse of each
+// day's snapshot) unless TrustTolerance opts into the warm path.
+type Engine struct {
 	st *fusion.State
 	// inc are the incremental options (trust tolerance, planner) every
-	// Advance runs with; NewEngine sets them from EngineOptions.
+	// Advance runs with.
 	inc fusion.IncrementalOptions
 }
 
-// NewFlatEngine fuses the snapshot once and wraps the reusable state.
-func NewFlatEngine(ds *model.Dataset, snap *model.Snapshot, sources []model.SourceID,
-	method string, opts fusion.Options) (*FlatEngine, error) {
+// NewEngine fuses the snapshot once and wraps the reusable state, laid
+// out as fusion.ResolveLayout picks from the options. Options are
+// assumed validated (truthdiscovery.FuseOptions.Validate); out-of-range
+// shard counts are clamped to one shard.
+func NewEngine(ds *model.Dataset, snap *model.Snapshot, sources []model.SourceID,
+	method string, opts EngineOptions) (*Engine, error) {
 	m, ok := fusion.ByName(method)
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown fusion method %q", method)
 	}
-	return &FlatEngine{st: fusion.NewState(ds, snap, sources, m, opts)}, nil
-}
-
-func (e *FlatEngine) Method() string           { return e.st.Method().Name() }
-func (e *FlatEngine) Roster() []model.SourceID { return e.st.Problem.SourceIDs }
-func (e *FlatEngine) Current(ds *model.Dataset) ([]fusion.Answer, *fusion.Result) {
-	return fusion.AnswersFor(ds, e.st.Problem, e.st.Result), e.st.Result
-}
-
-func (e *FlatEngine) Advance(ds *model.Dataset, dl *model.Delta, opts fusion.Options) (fusion.IncrementalStats, error) {
-	next, stats, err := e.st.Advance(ds, dl, opts, e.inc)
-	if err != nil {
-		return stats, err
-	}
-	e.st = next
-	return stats, nil
-}
-
-// ShardedEngine serves the sharded stateful engine (fusion.ShardedState).
-type ShardedEngine struct {
-	st *fusion.ShardedState
-	// inc are the incremental options (trust tolerance, planner) every
-	// Advance runs with; NewEngine sets them from EngineOptions.
-	inc fusion.IncrementalOptions
-}
-
-// NewShardedEngine fuses the snapshot over the shard set and wraps the
-// reusable state.
-func NewShardedEngine(ds *model.Dataset, snap *model.Snapshot, sources []model.SourceID,
-	method string, shards, maxResident int, opts fusion.Options) (*ShardedEngine, error) {
-	m, ok := fusion.ByName(method)
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown fusion method %q", method)
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	spec := model.RangeShards(shards, snap.NumItems())
-	st, err := fusion.NewShardedState(ds, snap, sources, spec, m, opts, maxResident)
+	spec, maxResident := fusion.ResolveLayout(snap, opts.Shards, opts.MaxResidentShards, opts.Planner)
+	st, err := fusion.NewState(ds, snap, sources, spec, m, fusion.Options{Parallelism: opts.Parallelism}, maxResident)
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedEngine{st: st}, nil
+	return &Engine{st: st, inc: fusion.IncrementalOptions{TrustTolerance: opts.TrustTolerance, Planner: opts.Planner}}, nil
 }
 
-func (e *ShardedEngine) Method() string           { return e.st.Method().Name() }
-func (e *ShardedEngine) Roster() []model.SourceID { return e.st.Sharded.SourceIDs }
-func (e *ShardedEngine) Current(ds *model.Dataset) ([]fusion.Answer, *fusion.Result) {
-	return fusion.AnswersForSharded(ds, e.st.Sharded, e.st.Result), e.st.Result
+// Method returns the fusion method name the engine runs.
+func (e *Engine) Method() string { return e.st.Method().Name() }
+
+// Roster returns the fused source roster in dense problem order.
+func (e *Engine) Roster() []model.SourceID { return e.st.Sharded.SourceIDs }
+
+// Current renders the engine's present answers and result.
+func (e *Engine) Current(ds *model.Dataset) ([]fusion.Answer, *fusion.Result) {
+	return e.st.Answers(ds), e.st.Result
 }
 
-func (e *ShardedEngine) Advance(ds *model.Dataset, dl *model.Delta, opts fusion.Options) (fusion.IncrementalStats, error) {
+// Advance moves the engine across one delta.
+func (e *Engine) Advance(ds *model.Dataset, dl *model.Delta, opts fusion.Options) (fusion.IncrementalStats, error) {
 	next, stats, err := e.st.Advance(ds, dl, opts, e.inc)
 	if err != nil {
 		return stats, err

@@ -29,20 +29,7 @@ func (o FuseOptions) Validate() error {
 		return fmt.Errorf("truthdiscovery: TrustTolerance must be >= 0, got %g", o.TrustTolerance)
 	}
 	if o.Planner != nil {
-		if err := o.Planner.Validate(); err != nil {
-			return err
-		}
-		// The forced layout must be executable with the configured shard
-		// count: a live state has one layout, and forcing the other one
-		// would silently run something else.
-		if o.Planner.Mode == PlannerForced {
-			if o.Planner.ForceLayout == LayoutSharded && o.Shards <= 1 {
-				return fmt.Errorf("truthdiscovery: forced plan layout %q needs Shards > 1, got %d", LayoutSharded, o.Shards)
-			}
-			if o.Planner.ForceLayout == LayoutFlat && o.Shards > 1 {
-				return fmt.Errorf("truthdiscovery: forced plan layout %q conflicts with Shards = %d", LayoutFlat, o.Shards)
-			}
-		}
+		return o.Planner.Validate()
 	}
 	return nil
 }
@@ -51,8 +38,8 @@ func (o FuseOptions) Validate() error {
 // option that can change the fused answers: the source roster, the
 // sampled-trust gold table (by content — item, exact value bits), known
 // copy groups and the incremental trust tolerance. Execution knobs —
-// Parallelism, Shards, MaxResidentShards, and the planner's layout/arena
-// knobs — are excluded on purpose: they are bit-identical execution
+// Parallelism, Shards, MaxResidentShards, and the planner's arena
+// budget — are excluded on purpose: they are bit-identical execution
 // choices. The planner's path-affecting knobs (mode, warm ceiling,
 // forced path) join the digest only under a positive TrustTolerance,
 // where warm-vs-full is an approximate choice; at zero tolerance every

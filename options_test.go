@@ -53,8 +53,8 @@ func optionsWorld(t *testing.T) (*Dataset, *Snapshot, []*Delta) {
 }
 
 // TestFuseHonorsShards asserts the footgun fix: Fuse given Shards: 4
-// delegates to the sharded engine, and both entry points return the same
-// answers value for value.
+// fuses over the shard set, FuseStateful lays its state out the same
+// way, and both return the flat answers value for value.
 func TestFuseHonorsShards(t *testing.T) {
 	ds, snap, _ := optionsWorld(t)
 	for _, method := range []string{"Vote", "AccuPr", "TruthFinder"} {
@@ -63,21 +63,24 @@ func TestFuseHonorsShards(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Fuse: %v", method, err)
 		}
-		viaSharded, err := FuseSharded(ds, snap, method, opts)
+		viaState, st, err := FuseStateful(ds, snap, method, opts)
 		if err != nil {
-			t.Fatalf("%s: FuseSharded: %v", method, err)
+			t.Fatalf("%s: FuseStateful: %v", method, err)
+		}
+		if st.st.Sharded.NumShards() != 4 {
+			t.Fatalf("%s: stateful layout has %d shards, want 4", method, st.st.Sharded.NumShards())
 		}
 		flat, err := Fuse(ds, snap, method, FuseOptions{})
 		if err != nil {
 			t.Fatalf("%s: flat Fuse: %v", method, err)
 		}
-		if len(viaFuse) != len(viaSharded) || len(viaFuse) != len(flat) {
-			t.Fatalf("%s: answer counts %d/%d/%d", method, len(viaFuse), len(viaSharded), len(flat))
+		if len(viaFuse) != len(viaState) || len(viaFuse) != len(flat) {
+			t.Fatalf("%s: answer counts %d/%d/%d", method, len(viaFuse), len(viaState), len(flat))
 		}
 		for i := range viaFuse {
-			if viaFuse[i] != viaSharded[i] {
-				t.Fatalf("%s: answer %d differs between Fuse(Shards:4) and FuseSharded(Shards:4): %+v vs %+v",
-					method, i, viaFuse[i], viaSharded[i])
+			if viaFuse[i] != viaState[i] {
+				t.Fatalf("%s: answer %d differs between Fuse(Shards:4) and FuseStateful(Shards:4): %+v vs %+v",
+					method, i, viaFuse[i], viaState[i])
 			}
 			if viaFuse[i] != flat[i] {
 				t.Fatalf("%s: answer %d differs between sharded and flat: %+v vs %+v",
@@ -106,14 +109,14 @@ func TestFuseHonorsMaxResidentShards(t *testing.T) {
 	}
 }
 
-// TestShardedIncrementalWarmTolerance: the sharded incremental engine
-// now honours a positive TrustTolerance with the per-shard warm path,
-// and its warm answers are bit-identical to the flat warm path on the
-// same stream. Zero tolerance stays bit-identical to a full fuse.
+// TestShardedIncrementalWarmTolerance: a sharded state honours a
+// positive TrustTolerance with the per-shard warm path, and its warm
+// answers are bit-identical to the one-shard warm path on the same
+// stream. Zero tolerance stays bit-identical to a full fuse.
 func TestShardedIncrementalWarmTolerance(t *testing.T) {
 	ds, day0, deltas := optionsWorld(t)
 	const tol = 0.05
-	_, shd, err := FuseShardedStateful(ds, day0, "AccuPr", FuseOptions{Shards: 4})
+	_, shd, err := FuseStateful(ds, day0, "AccuPr", FuseOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +124,7 @@ func TestShardedIncrementalWarmTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmShd, shd, err := FuseShardedIncremental(ds, shd, deltas[0], "AccuPr",
+	warmShd, shd, err := FuseIncremental(ds, shd, deltas[0], "AccuPr",
 		FuseOptions{Shards: 4, TrustTolerance: tol})
 	if err != nil {
 		t.Fatal(err)
@@ -145,11 +148,11 @@ func TestShardedIncrementalWarmTolerance(t *testing.T) {
 	}
 
 	// Zero tolerance still matches a full fuse of day 1.
-	_, st, err := FuseShardedStateful(ds, day0, "AccuPr", FuseOptions{Shards: 4})
+	_, st, err := FuseStateful(ds, day0, "AccuPr", FuseOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, _, err := FuseShardedIncremental(ds, st, deltas[0], "AccuPr", FuseOptions{Shards: 4})
+	inc, _, err := FuseIncremental(ds, st, deltas[0], "AccuPr", FuseOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,19 +171,17 @@ func TestShardedIncrementalWarmTolerance(t *testing.T) {
 	}
 }
 
-// TestFlatStatefulRejectsShards: the flat stateful engine cannot honour a
-// shard count, so it must say so.
+// TestFlatStatefulRejectsShards: a state laid out flat (one shard)
+// cannot be advanced as a sharded one — the layout is fixed per state —
+// so a shard count on the advance must be refused, not ignored.
 func TestFlatStatefulRejectsShards(t *testing.T) {
 	ds, day0, deltas := optionsWorld(t)
-	if _, _, err := FuseStateful(ds, day0, "AccuPr", FuseOptions{Shards: 4}); err == nil {
-		t.Fatal("FuseStateful accepted Shards > 1")
-	}
 	_, st, err := FuseStateful(ds, day0, "AccuPr", FuseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := FuseIncremental(ds, st, deltas[0], "AccuPr", FuseOptions{Shards: 4}); err == nil {
-		t.Fatal("FuseIncremental accepted Shards > 1")
+		t.Fatal("FuseIncremental accepted Shards > 1 on a flat state")
 	}
 }
 
@@ -203,12 +204,6 @@ func TestFuseOptionsValidate(t *testing.T) {
 		{"forced planner", FuseOptions{Planner: &Planner{Mode: PlannerForced, ForcePath: ModeFull}}, ""},
 		{"negative warm ceiling", FuseOptions{Planner: &Planner{WarmChurnCeiling: -1}}, "WarmChurnCeiling"},
 		{"force path without forced mode", FuseOptions{Planner: &Planner{ForcePath: ModeWarm}}, "ForcePath"},
-		{"forced sharded layout without shards",
-			FuseOptions{Planner: &Planner{Mode: PlannerForced, ForcePath: ModeFull, ForceLayout: LayoutSharded}}, "Shards"},
-		{"forced flat layout with shards",
-			FuseOptions{Shards: 4, Planner: &Planner{Mode: PlannerForced, ForcePath: ModeFull, ForceLayout: LayoutFlat}}, "Shards"},
-		{"forced sharded layout with shards",
-			FuseOptions{Shards: 4, Planner: &Planner{Mode: PlannerForced, ForcePath: ModeFull, ForceLayout: LayoutSharded}}, ""},
 	}
 	ds, snap, _ := optionsWorld(t)
 	for _, tc := range cases {

@@ -97,7 +97,7 @@ func TestServedBitIdenticalToFuse(t *testing.T) {
 		wantRes := m.Run(fusion.Build(w.ds, w.snap, w.fused, m.Needs()), fusion.Options{})
 
 		// The serving path: engine → store → load → view → HTTP.
-		eng, err := serve.NewFlatEngine(w.ds, w.snap, w.fused, method, fusion.Options{})
+		eng, err := serve.NewEngine(w.ds, w.snap, w.fused, method, serve.EngineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestServedShardedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := serve.NewShardedEngine(w.ds, w.snap, w.fused, method, 4, 0, fusion.Options{})
+	eng, err := serve.NewEngine(w.ds, w.snap, w.fused, method, serve.EngineOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestServedRefreshUnderConcurrentReads(t *testing.T) {
 		wantByLabel[snap.Label] = want
 	}
 
-	eng, err := serve.NewFlatEngine(ds, snaps[0], nil, method, fusion.Options{})
+	eng, err := serve.NewEngine(ds, snaps[0], nil, method, serve.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,10 @@ import (
 	"truthdiscovery/internal/model"
 )
 
-// The sharded engine's acceptance contract (ISSUE 4): FuseSharded with
-// any shard count — 1, 2, 7, GOMAXPROCS — produces answers, trust
-// vectors and posteriors bit-identical to unsharded Fuse for all sixteen
-// methods on the calibrated Stock and Flight worlds. CI runs this suite
+// The sharded engine's acceptance contract: fusion over any shard count
+// — 1, 2, 7, GOMAXPROCS — produces answers, trust vectors and
+// posteriors bit-identical to unsharded Fuse for all sixteen methods on
+// the calibrated Stock and Flight worlds. CI runs this suite
 // under -race, which additionally proves the shard fan-out is data-race
 // free.
 
@@ -52,10 +52,11 @@ func TestFuseShardedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFuseShardedHashAndBudget extends the contract to hash sharding
-// (resident mode) and to the memory-budget sequential mode
-// (-max-resident-shards 1) on a fusion-heavy subset of the roster.
-func TestFuseShardedHashAndBudget(t *testing.T) {
+// TestFuseShardedConcurrentAndBudget extends the contract to the
+// shard-concurrent fan-out (resident mode) and to the memory-budget
+// sequential mode (-max-resident-shards 1) on a fusion-heavy subset of
+// the roster.
+func TestFuseShardedConcurrentAndBudget(t *testing.T) {
 	w := equivWorlds(t)[0] // Stock
 	for _, name := range []string{"Vote", "Cosine", "3-Estimates", "AccuFormatAttr", "AccuCopy"} {
 		m, ok := fusion.ByName(name)
@@ -69,10 +70,10 @@ func TestFuseShardedHashAndBudget(t *testing.T) {
 			maxResident int
 			parallelism int
 		}{
-			{"hash5", model.HashShards(5, w.snap.NumItems()), 0, 0},
+			{"range5", model.RangeShards(5, w.snap.NumItems()), 0, 0},
 			// Parallelism 4 < shards forces the shard-concurrent fan-out
 			// even on a single-core host.
-			{"hash5par4", model.HashShards(5, w.snap.NumItems()), 0, 4},
+			{"range5par4", model.RangeShards(5, w.snap.NumItems()), 0, 4},
 			{"range6budget1", model.RangeShards(6, w.snap.NumItems()), 1, 0},
 		} {
 			res, _, err := fusion.FuseSharded(w.ds, w.snap, w.fused, tc.spec, m,
@@ -86,15 +87,16 @@ func TestFuseShardedHashAndBudget(t *testing.T) {
 }
 
 // TestShardedIncrementalStream composes sharding with the delta stream
-// on the public-ish surface: a ShardedState advanced over the simulated
-// Stock day-over-day deltas must match full flat fusion of every day.
+// on the internal surface: a four-shard fusion.State advanced over the
+// simulated Stock day-over-day deltas must match full flat fusion of
+// every day.
 func TestShardedIncrementalStream(t *testing.T) {
 	const days = 3
 	w := streamWorlds(t, days)[0] // Stock
 	spec := model.RangeShards(4, w.snaps[0].NumItems())
 	for _, name := range []string{"Vote", "AccuPr", "AccuFormatAttr"} {
 		m, _ := fusion.ByName(name)
-		st, err := fusion.NewShardedState(w.ds, w.snaps[0], w.fused, spec, m, fusion.Options{}, 0)
+		st, err := fusion.NewState(w.ds, w.snaps[0], w.fused, spec, m, fusion.Options{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,8 +121,8 @@ func TestShardedIncrementalStream(t *testing.T) {
 	}
 }
 
-// TestPublicFuseSharded exercises the public API: FuseSharded answers
-// must equal Fuse answers for any shard count, and the options are
+// TestPublicFuseSharded exercises the public API: Fuse over any shard
+// count must answer exactly as the one-shard Fuse, and the options are
 // validated.
 func TestPublicFuseSharded(t *testing.T) {
 	w := equivWorlds(t)[1] // Flight
@@ -129,7 +131,7 @@ func TestPublicFuseSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 3, 8} {
-		got, err := FuseSharded(w.ds, w.snap, "AccuFormatAttr", FuseOptions{
+		got, err := Fuse(w.ds, w.snap, "AccuFormatAttr", FuseOptions{
 			Sources: w.fused, Shards: shards,
 		})
 		if err != nil {
@@ -140,7 +142,7 @@ func TestPublicFuseSharded(t *testing.T) {
 		}
 	}
 	// Budget mode drops the ceiling but not the answers.
-	got, err := FuseSharded(w.ds, w.snap, "AccuFormatAttr", FuseOptions{
+	got, err := Fuse(w.ds, w.snap, "AccuFormatAttr", FuseOptions{
 		Sources: w.fused, Shards: 6, MaxResidentShards: 1,
 	})
 	if err != nil {
@@ -149,7 +151,7 @@ func TestPublicFuseSharded(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("budgeted public sharded answers differ from Fuse")
 	}
-	if _, err := FuseSharded(w.ds, w.snap, "NoSuchMethod", FuseOptions{Shards: 2}); err == nil {
+	if _, err := Fuse(w.ds, w.snap, "NoSuchMethod", FuseOptions{Shards: 2}); err == nil {
 		t.Fatal("unknown method accepted")
 	}
 	// Sampled-trust runs (Gold) stay bit-identical too — and the sharded
@@ -158,7 +160,7 @@ func TestPublicFuseSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goldGot, err := FuseSharded(w.ds, w.snap, "Hub", FuseOptions{
+	goldGot, err := Fuse(w.ds, w.snap, "Hub", FuseOptions{
 		Sources: w.fused, Gold: w.gld, Shards: 5, MaxResidentShards: 1,
 	})
 	if err != nil {
@@ -179,7 +181,7 @@ func TestPublicFuseSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emptySharded, err := FuseSharded(eds, esnap, "AccuPr", FuseOptions{Shards: 4})
+	emptySharded, err := Fuse(eds, esnap, "AccuPr", FuseOptions{Shards: 4})
 	if err != nil {
 		t.Fatalf("sharded empty world: %v", err)
 	}

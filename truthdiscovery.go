@@ -82,12 +82,12 @@ type (
 const (
 	// PlannerAuto computes each advance's plan from the delta features.
 	PlannerAuto = fusion.PlannerAuto
-	// PlannerForced executes exactly the plan named by the planner's
-	// ForcePath/ForceLayout.
+	// PlannerForced executes exactly the path named by the planner's
+	// ForcePath.
 	PlannerForced = fusion.PlannerForced
-	// LayoutFlat is the single-arena flat engine.
+	// LayoutFlat is the one-shard layout: a single arena.
 	LayoutFlat = fusion.LayoutFlat
-	// LayoutSharded is the per-item-shard engine.
+	// LayoutSharded is the layout of more than one item shard.
 	LayoutSharded = fusion.LayoutSharded
 )
 
@@ -223,59 +223,77 @@ type FuseOptions struct {
 	// 0 (the default) uses GOMAXPROCS, 1 forces the exact serial path.
 	// Results are bit-identical at any setting.
 	Parallelism int
-	// TrustTolerance (the incremental engines) enables the approximate
-	// dirty-only warm path: the ACCU-family methods re-run the posterior
-	// phase only for changed items while no source trust drifts more than
-	// this from the previous state, falling back to full re-fusion past
-	// it. 0 (the default) keeps incremental answers bit-identical to Fuse.
-	// Both layouts support it: the sharded engine runs the same warm
-	// iteration per shard, feeding the deterministic cross-shard trust
-	// merge — bit-identical to the flat warm path at any shard count.
+	// TrustTolerance (FuseIncremental) enables the approximate dirty-only
+	// warm path: the ACCU-family methods re-run the posterior phase only
+	// for changed items while no source trust drifts more than this from
+	// the previous state, falling back to full re-fusion past it. 0 (the
+	// default) keeps incremental answers bit-identical to Fuse. The warm
+	// iteration is the same at any shard count.
 	TrustTolerance float64
 	// Planner, when set, plans each incremental advance from the day's
 	// measured delta features (churn fraction, dirty-shard fan-out, arena
 	// bytes) instead of the fixed tolerance-only gating: PlannerAuto
 	// applies the churn ceiling to the warm path (warm wins at low churn,
 	// loses at the paper's 90%-churn days), PlannerForced executes
-	// exactly the named path. FuseAuto additionally uses
-	// Planner.ArenaBudgetBytes to lay the world out flat or sharded. The
-	// decision and its features are recorded on the result
-	// (FusionResult.Plan) and in the stats of every advance.
+	// exactly the named path. Its ArenaBudgetBytes also lays the world
+	// out when Shards is unset: over enough range shards, kept resident
+	// one at a time, that one shard's arena fits the budget. The decision
+	// and its features are recorded on the result (FusionResult.Plan) and
+	// in the stats of every advance.
 	Planner *Planner
 	// Shards partitions the items into this many range shards, each fused
 	// as its own problem with one deterministic cross-shard trust merge.
-	// 0 or 1 means one shard. Answers are bit-identical to Fuse at any
-	// setting; Fuse itself delegates to the sharded engine when Shards > 1.
+	// 0 or 1 means one shard (unless the planner's arena budget asks for
+	// more). Answers are bit-identical at any setting. On FuseIncremental,
+	// 0 keeps the state's layout and any other value must match it.
 	Shards int
 	// MaxResidentShards (with Shards > 1) bounds how many shard arenas
 	// stay in memory at once: shards beyond the bound are rebuilt on
 	// demand and dropped after each pass, trading time for a memory
-	// ceiling of roughly one shard's arena. 0 keeps every shard resident.
+	// ceiling of roughly one shard's arena. 0 keeps every shard resident
+	// (on FuseIncremental: keeps the state's bound).
 	MaxResidentShards int
 }
 
 // Fuse resolves conflicts in a snapshot with the named method and returns
 // one answer per claimed item, in item order.
 //
-// With FuseOptions.Shards > 1 the call delegates to the sharded engine
-// (FuseSharded): answers are bit-identical, so the shard count is purely an
-// execution choice — shard-level concurrency, or a bounded memory ceiling
-// via MaxResidentShards — and never changes the result.
+// With more than one shard (FuseOptions.Shards > 1, or the planner's
+// arena budget) the items are fused over range shards with one
+// deterministic cross-shard trust merge: answers are bit-identical, so the
+// layout is purely an execution choice — shard-level concurrency, or a
+// bounded memory ceiling via MaxResidentShards — and never changes the
+// result.
 func Fuse(ds *Dataset, snap *Snapshot, method string, opts FuseOptions) ([]Answer, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.Shards > 1 {
-		return FuseSharded(ds, snap, method, opts)
 	}
 	m, ok := fusion.ByName(method)
 	if !ok {
 		return nil, fmt.Errorf("truthdiscovery: unknown fusion method %q", method)
 	}
+	fo := fusion.Options{KnownGroups: opts.KnownCopyGroups, Parallelism: opts.Parallelism}
+	spec, maxResident := fusion.ResolveLayout(snap, opts.Shards, opts.MaxResidentShards, opts.Planner)
+	if spec.Shards > 1 {
+		if opts.Gold != nil {
+			// Roster-based sampling: no flat Problem is built here, so the
+			// MaxResidentShards memory ceiling holds on the Gold path too.
+			roster := opts.Sources
+			if roster == nil {
+				roster = fusion.DefaultRoster(ds)
+			}
+			fo.InputTrust = m.TrustScale(fusion.SampleAccuracySources(ds, snap, roster, opts.Gold))
+			fo.InputAttrTrust = fusion.SampleAttrAccuracySources(ds, snap, roster, opts.Gold)
+		}
+		res, sp, err := fusion.FuseSharded(ds, snap, opts.Sources, spec, m, fo, maxResident)
+		if err != nil {
+			return nil, err
+		}
+		return fusion.AnswersForSharded(ds, sp, res), nil
+	}
 	needs := m.Needs()
 	needs.Parallelism = opts.Parallelism
 	p := fusion.Build(ds, snap, opts.Sources, needs)
-	fo := fusion.Options{KnownGroups: opts.KnownCopyGroups, Parallelism: opts.Parallelism}
 	if opts.Gold != nil {
 		fo.InputTrust = m.TrustScale(fusion.SampleAccuracy(ds, snap, p, opts.Gold))
 		fo.InputAttrTrust = fusion.SampleAttrAccuracy(ds, snap, p, opts.Gold)
