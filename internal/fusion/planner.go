@@ -25,10 +25,10 @@ type PlanLayout string
 
 // The layouts.
 const (
-	// LayoutFlat is the single-arena flat engine.
+	// LayoutFlat is the one-shard layout: a single arena.
 	LayoutFlat PlanLayout = "flat"
-	// LayoutSharded is the per-item-shard engine with the deterministic
-	// cross-shard trust merge.
+	// LayoutSharded is the layout of more than one item shard, with the
+	// deterministic cross-shard trust merge.
 	LayoutSharded PlanLayout = "sharded"
 )
 
@@ -110,7 +110,7 @@ type PlanFeatures struct {
 	TotalItems    int     `json:"total_items"`
 	ChurnFraction float64 `json:"churn_fraction"`
 	// DirtyShards / TotalShards are the delta's shard fan-out (sharded
-	// layout only; zero on the flat engine).
+	// layout only; zero on the one-shard layout).
 	DirtyShards int `json:"dirty_shards,omitempty"`
 	TotalShards int `json:"total_shards,omitempty"`
 	// ArenaBytes is the measured problem-arena footprint of the state the
