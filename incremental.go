@@ -129,7 +129,7 @@ func FuseIncremental(ds *Dataset, prev *FusedState, delta *Delta, method string,
 	}
 	// The roster and the layout were frozen into the state at FuseStateful
 	// time; a different one here would be silently ignored, so reject it.
-	sp := prev.st.Sharded
+	sp := &prev.st.Sharded
 	if opts.Sources != nil && !sameSources(opts.Sources, sp.SourceIDs) {
 		return nil, nil, fmt.Errorf("truthdiscovery: FuseIncremental cannot change the source roster; start a new state with FuseStateful")
 	}

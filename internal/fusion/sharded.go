@@ -325,7 +325,10 @@ func (sp *ShardedProblem) sweep(parallelism int,
 	}
 }
 
-// phaseResident fans a phase out over the resident shards.
+// phaseResident fans a phase out over the resident shards. It is a
+// function of its own so that only its copy of phase is captured by the
+// task closures: the sweep's parameter then stays on the stack, and a
+// serial sweep allocates nothing.
 func (sp *ShardedProblem) phaseResident(parallelism int, phase func(k int, p *Problem, par int)) {
 	workers := parallel.Workers(parallelism)
 	if workers <= 1 || len(sp.parts) < workers {
