@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke benchpairs benchgate bench-profile examples serve-smoke load-smoke lint fmt ci
+.PHONY: build test race fuzz-smoke bench bench-smoke benchpairs benchgate bench-profile examples serve-smoke load-smoke lint fmt ci
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,15 @@ test:
 # the gate that keeps the work-stealing layer honest.
 race:
 	$(GO) test -race ./...
+
+# Fuzz smoke: each fuzz target for 10 s beyond its committed corpus
+# (testdata/fuzz/<target> in its package; go test runs the corpus alone).
+# go test -fuzz takes one target per run.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzDeltaSplit$$' -fuzztime=10s ./internal/model
+	$(GO) test -run='^$$' -fuzz='^FuzzBucketize$$' -fuzztime=10s ./internal/value
+	$(GO) test -run='^$$' -fuzz='^FuzzValueString$$' -fuzztime=10s ./internal/value
+	$(GO) test -run='^$$' -fuzz='^FuzzAnswersBody$$' -fuzztime=10s ./internal/serve
 
 # Bench smoke: one iteration of every benchmark, no unit tests.
 bench:
@@ -98,4 +107,4 @@ lint:
 fmt:
 	gofmt -w .
 
-ci: lint build race bench bench-smoke examples serve-smoke load-smoke
+ci: lint build race fuzz-smoke bench bench-smoke examples serve-smoke load-smoke

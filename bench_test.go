@@ -843,6 +843,43 @@ func BenchmarkServeAnswersParallel(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
+// BenchmarkServeTable measures GET /v1/answers on a view whose table
+// body is already stored: a lookup plus the write of the whole table.
+func BenchmarkServeTable(b *testing.B) {
+	h, _, _ := serveBenchWorld(b)
+	serveTable(b, h) // the first read renders the body
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveTable(b, h)
+	}
+}
+
+// BenchmarkServeTableCold reads the table of a fresh view each
+// iteration, so every read pays the one render plus the write. Building
+// and swapping in the view stays outside the timer.
+func BenchmarkServeTableCold(b *testing.B) {
+	_, _, view := serveBenchWorld(b)
+	srv := serve.NewServer()
+	h := srv.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		srv.Swap(serve.NewView(*view))
+		b.StartTimer()
+		serveTable(b, h)
+	}
+}
+
+func serveTable(b *testing.B, h http.Handler) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/answers", nil))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("status %d", rec.Code)
+	}
+}
+
 // benchServeLoad drives the loadgen harness — real TCP connections via
 // httptest.Server, not in-process ServeHTTP — over the served Stock
 // world, and reports the latency percentiles and req/s that join the

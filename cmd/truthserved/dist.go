@@ -90,7 +90,7 @@ func runDistWorker(cfg distConfig, ds *model.Dataset, day0 *model.Snapshot, inde
 		fatal(err)
 	}
 	fmt.Printf("truthserved: worker %d serving on http://%s\n", index, ln.Addr())
-	httpSrv := &http.Server{Handler: wk.Handler()}
+	httpSrv := serve.NewHTTPServer(wk.Handler())
 	errCh := make(chan error, 1)
 	go func() {
 		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
@@ -310,7 +310,7 @@ func runDistFront(cfg distConfig, ds *model.Dataset, day0 *model.Snapshot, delta
 		fatal(err)
 	}
 	fmt.Printf("truthserved: serving on http://%s\n", ln.Addr())
-	httpSrv := &http.Server{Handler: rt.Handler()}
+	httpSrv := serve.NewHTTPServer(rt.Handler())
 	errCh := make(chan error, 1)
 	go func() {
 		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {

@@ -341,7 +341,7 @@ func main() {
 	// Serve until SIGINT/SIGTERM, then shut down gracefully: stop
 	// accepting, drain in-flight requests, flush any pending ingest batch
 	// (persisting the final version when a store is configured), exit 0.
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := serve.NewHTTPServer(srv.Handler())
 	errCh := make(chan error, 1)
 	go func() {
 		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {

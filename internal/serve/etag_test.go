@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -141,11 +142,13 @@ func TestETagMatchesStoreVersion(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadersNeverSeeTornETag hammers the answers endpoint
+// TestConcurrentReadersNeverSeeTornETag hammers the answers endpoints
 // while the writer republishes new versions, asserting every response's
 // ETag matches the version in its own body — the pair must come from one
-// view, never a tag from one swap and a body from another. Run under
-// -race this also proves the etag field needs no lock.
+// view, never a tag from one swap and a body from another, whether the
+// table body is rendered by the read or stored by an earlier one. Run
+// under -race this also proves the etag field and the stored table need
+// no lock.
 func TestConcurrentReadersNeverSeeTornETag(t *testing.T) {
 	w := buildWorld(t)
 	r, srv := newRefresher(t, w, "Vote", false)
@@ -161,16 +164,20 @@ func TestConcurrentReadersNeverSeeTornETag(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for {
+			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
+				path := "/v1/answers"
+				if i%4 == 3 {
+					path = "/v1/answers/obj00"
+				}
 				rec := httptest.NewRecorder()
-				handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/answers", nil))
+				handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 				if rec.Code != http.StatusOK {
-					errs <- fmt.Errorf("reader %d: status %d", g, rec.Code)
+					errs <- fmt.Errorf("reader %d: GET %s: status %d", g, path, rec.Code)
 					return
 				}
 				var body struct {
@@ -181,8 +188,12 @@ func TestConcurrentReadersNeverSeeTornETag(t *testing.T) {
 					return
 				}
 				if got, want := rec.Header().Get("ETag"), store.ETag(body.Version); got != want {
-					errs <- fmt.Errorf("reader %d: torn pair: ETag %q with body version %d (want %q)",
-						g, got, body.Version, want)
+					errs <- fmt.Errorf("reader %d: GET %s: torn pair: ETag %q with body version %d (want %q)",
+						g, path, got, body.Version, want)
+					return
+				}
+				if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
+					errs <- fmt.Errorf("reader %d: GET %s: Content-Length %s for a %s-byte body", g, path, got, want)
 					return
 				}
 			}

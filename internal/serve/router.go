@@ -16,7 +16,10 @@ import (
 // all answered from the coordinator's meta view and ingester) and
 // scatter-gathers the answer endpoints across the shard workers.
 // Range sharding makes worker order global item order, so concatenating
-// the workers' answer lists reproduces the flat server's byte order.
+// the workers' answer lists and encoding them with the flat server's
+// encoder reproduces the flat server's bytes. Worker payloads are
+// decoded, not spliced, so the typed decode validates what the fleet
+// sends.
 //
 // Point queries fan out to exactly the workers owning the object's
 // items (precomputed from the item table and the shard spec — for
@@ -264,10 +267,8 @@ func (rt *Router) gatherAnswers(w http.ResponseWriter, r *http.Request, path str
 		}
 		w.Header().Set("ETag", etag)
 		w.Header().Set("Cache-Control", cacheControl)
-		writeJSON(w, http.StatusOK, answersHeader{
-			Version: v.Version, Method: v.Method, Day: v.Day, Label: v.Label,
-			Count: len(merged), Answers: merged,
-		})
+		body, err := answersBody(v, len(merged), func(k int) answerJSON { return merged[k] })
+		writeAnswers(w, body, err)
 		return
 	}
 }

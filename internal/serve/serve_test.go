@@ -486,7 +486,8 @@ func TestConcurrentReadersDuringSwap(t *testing.T) {
 
 // TestUnservableValueIs500: a fused NaN (a hostile claims file can parse
 // one) cannot be represented in JSON; the endpoint must fail closed with
-// a 500, not return 200 with a torn body.
+// a 500 error envelope, not return 200 with a torn body. The table is
+// read twice: the second read answers from the stored render failure.
 func TestUnservableValueIs500(t *testing.T) {
 	srv := NewServer()
 	srv.Swap(NewView(View{
@@ -498,14 +499,7 @@ func TestUnservableValueIs500(t *testing.T) {
 	}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	for _, path := range []string{"/v1/answers", "/v1/answers/obj"} {
-		resp, err := ts.Client().Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("GET %s with NaN answer: status %d, want 500", path, resp.StatusCode)
-		}
+	for _, path := range []string{"/v1/answers", "/v1/answers", "/v1/answers/obj"} {
+		wantEnvelope(t, ts, http.MethodGet, path, "", http.StatusInternalServerError, "internal")
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"truthdiscovery/internal/fusion"
 )
@@ -65,9 +68,9 @@ func (s *Server) View() *View { return s.view.Load() }
 
 // answerJSON is the wire form of one fused answer. Kind-specific payload
 // fields (num/gran for Number and Time, text for Text) carry the exact
-// value — encoding/json renders float64 with the shortest representation
-// that parses back to the identical bits — while "value" is the human
-// rendering.
+// value — float64 renders as the shortest representation that parses
+// back to the identical bits — while "value" is the human rendering.
+// The router decodes worker payloads into it; appendJSON encodes it.
 type answerJSON struct {
 	Object    string  `json:"object"`
 	Attribute string  `json:"attribute"`
@@ -92,6 +95,158 @@ func answerToJSON(a *fusion.Answer) answerJSON {
 		Support:   a.Support,
 		Providers: a.Providers,
 	}
+}
+
+// answersHeader is the envelope shared by /answers and /answers/{object}:
+// answersBody writes its wire form, and the router decodes worker
+// payloads into it.
+type answersHeader struct {
+	Version uint64       `json:"version"`
+	Method  string       `json:"method"`
+	Day     int          `json:"day"`
+	Label   string       `json:"label"`
+	Count   int          `json:"count"`
+	Answers []answerJSON `json:"answers"`
+}
+
+// errUnencodable is the encoder's failure: a NaN or ±Inf number, which
+// JSON cannot carry (a hostile claims file can fuse one).
+var errUnencodable = errors.New("serve: answer not representable as JSON")
+
+// answersBody encodes the answers wire form of v's header and n answers,
+// the k-th being answer(k). The bytes are exactly what encoding/json's
+// Encoder with SetEscapeHTML(false) writes for the answersHeader, the
+// trailing newline included, except that an empty list is always [],
+// never null.
+func answersBody(v *View, n int, answer func(k int) answerJSON) ([]byte, error) {
+	// An encoded Stock answer takes about 130 bytes.
+	dst := make([]byte, 0, 128+160*n)
+	dst = append(dst, `{"version":`...)
+	dst = strconv.AppendUint(dst, v.Version, 10)
+	dst = append(dst, `,"method":`...)
+	dst = appendJSONString(dst, v.Method)
+	dst = append(dst, `,"day":`...)
+	dst = strconv.AppendInt(dst, int64(v.Day), 10)
+	dst = append(dst, `,"label":`...)
+	dst = appendJSONString(dst, v.Label)
+	dst = append(dst, `,"count":`...)
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	dst = append(dst, `,"answers":[`...)
+	for k := 0; k < n; k++ {
+		if k > 0 {
+			dst = append(dst, ',')
+		}
+		a := answer(k)
+		var err error
+		if dst, err = a.appendJSON(dst); err != nil {
+			return nil, err
+		}
+	}
+	return append(dst, "]}\n"...), nil
+}
+
+// appendJSON appends the answer as one JSON object; an answer whose num
+// or gran is NaN or ±Inf, which JSON cannot carry, is an error.
+func (a *answerJSON) appendJSON(dst []byte) ([]byte, error) {
+	for _, f := range [2]float64{a.Num, a.Gran} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, errUnencodable
+		}
+	}
+	dst = append(dst, `{"object":`...)
+	dst = appendJSONString(dst, a.Object)
+	dst = append(dst, `,"attribute":`...)
+	dst = appendJSONString(dst, a.Attribute)
+	dst = append(dst, `,"value":`...)
+	dst = appendJSONString(dst, a.Value)
+	dst = append(dst, `,"kind":`...)
+	dst = appendJSONString(dst, a.Kind)
+	dst = append(dst, `,"num":`...)
+	dst = appendJSONFloat(dst, a.Num)
+	dst = append(dst, `,"gran":`...)
+	dst = appendJSONFloat(dst, a.Gran)
+	if a.Text != "" {
+		dst = append(dst, `,"text":`...)
+		dst = appendJSONString(dst, a.Text)
+	}
+	dst = append(dst, `,"support":`...)
+	dst = strconv.AppendInt(dst, int64(a.Support), 10)
+	dst = append(dst, `,"providers":`...)
+	dst = strconv.AppendInt(dst, int64(a.Providers), 10)
+	return append(dst, '}'), nil
+}
+
+// appendJSONFloat appends a finite f as encoding/json does: the
+// shortest decimal that round-trips, in 'f' form for 1e-6 <= |f| < 1e21
+// and 'e' form otherwise with a one-digit negative exponent unpadded
+// (1e-7, not 1e-07).
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
+}
+
+// appendJSONString appends s as a quoted JSON string the way
+// encoding/json does with HTML escaping off: `"` and `\` backslashed,
+// \b \f \n \r \t by name, other control bytes as \u00XX, each invalid
+// UTF-8 byte as \ufffd, and U+2028 / U+2029 escaped.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // Handler returns the versioned query and ingest API:
@@ -185,13 +340,33 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(body); err != nil {
-		http.Error(w, `{"error":{"code":"internal","message":"response not representable as JSON"}}`,
-			http.StatusInternalServerError)
+		writeUnencodable(w)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeAnswers sends an encoded answers body, or the 500 envelope when
+// the encoder failed.
+func writeAnswers(w http.ResponseWriter, body []byte, err error) {
+	if err != nil {
+		writeUnencodable(w)
+		return
+	}
+	writeBody(w, http.StatusOK, body)
+}
+
+func writeUnencodable(w http.ResponseWriter) {
+	writeError(w, http.StatusInternalServerError, "internal", "response not representable as JSON")
+}
+
+// writeBody sends a JSON body encoded in full, with its Content-Length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 // loadView resolves the served view, answering 503 while none is
@@ -272,16 +447,6 @@ func (s *Server) handleMethods(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"methods": names, "serving": serving})
 }
 
-// answersHeader is the envelope shared by /answers and /answers/{object}.
-type answersHeader struct {
-	Version uint64       `json:"version"`
-	Method  string       `json:"method"`
-	Day     int          `json:"day"`
-	Label   string       `json:"label"`
-	Count   int          `json:"count"`
-	Answers []answerJSON `json:"answers"`
-}
-
 func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	v, ok := s.loadView(w)
 	if !ok {
@@ -290,14 +455,8 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	if s.conditional(w, r, v) {
 		return
 	}
-	out := answersHeader{
-		Version: v.Version, Method: v.Method, Day: v.Day, Label: v.Label,
-		Count: len(v.Answers), Answers: make([]answerJSON, len(v.Answers)),
-	}
-	for i := range v.Answers {
-		out.Answers[i] = answerToJSON(&v.Answers[i])
-	}
-	writeJSON(w, http.StatusOK, out)
+	body, err := v.tableBody()
+	writeAnswers(w, body, err)
 }
 
 func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
@@ -314,14 +473,8 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 	if s.conditional(w, r, v) {
 		return
 	}
-	out := answersHeader{
-		Version: v.Version, Method: v.Method, Day: v.Day, Label: v.Label,
-		Count: len(idx), Answers: make([]answerJSON, len(idx)),
-	}
-	for i, ai := range idx {
-		out.Answers[i] = answerToJSON(&v.Answers[ai])
-	}
-	writeJSON(w, http.StatusOK, out)
+	body, err := answersBody(v, len(idx), func(k int) answerJSON { return answerToJSON(&v.Answers[idx[k]]) })
+	writeAnswers(w, body, err)
 }
 
 // trustJSON is one source's trust entry.
@@ -354,6 +507,24 @@ func (s *Server) handleTrust(w http.ResponseWriter, r *http.Request) {
 		out["sources"] = sources
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// The listener timeouts of NewHTTPServer.
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request header.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes a keep-alive connection left idle this long.
+	idleTimeout = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server a listener runs h on: a client
+// that never finishes its request header, or leaves its connection
+// idle, is cut off by the timeouts above. There is no write timeout: an
+// awaited claim post (POST /v1/claims?wait=1) may block for up to
+// flushWaitTimeout before it answers.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // flushWaitTimeout bounds an awaited claim post: if the flusher cannot

@@ -7,7 +7,9 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 
 	"truthdiscovery/internal/fusion"
 	"truthdiscovery/internal/model"
@@ -16,7 +18,8 @@ import (
 
 // View is one immutable, fully indexed serving snapshot: a persisted run
 // plus the per-object lookup index. Views are never mutated after
-// NewView; the server swaps whole pointers.
+// NewView, and every served view is built by it; the server swaps whole
+// pointers.
 type View struct {
 	Version     uint64
 	Method      string
@@ -40,17 +43,49 @@ type View struct {
 	// publish and FromRun set it once the version is known; views built
 	// by hand leave it empty and ETag derives it on demand.
 	etag string
+
+	// table is the full-table body, rendered on first read (see
+	// tableBody).
+	table *storedTable
+}
+
+// storedTable is a view's GET /v1/answers body: the first read renders
+// it, every later read writes the same bytes. It sits behind a pointer
+// because NewView takes its View by value and a sync.Once must not be
+// copied.
+type storedTable struct {
+	once sync.Once
+	body []byte
+	err  error
 }
 
 // NewView indexes a view; every slice is retained, not copied, and must
-// not be mutated afterwards.
+// not be mutated afterwards. The view gets its own, not yet rendered,
+// table body, so a copy of a served view never serves the source's.
 func NewView(v View) *View {
 	v.byObject = make(map[string][]int32, len(v.Answers))
 	for i := range v.Answers {
 		key := v.Answers[i].ObjectKey
 		v.byObject[key] = append(v.byObject[key], int32(i))
 	}
+	v.table = new(storedTable)
 	return &v
+}
+
+// tableBody returns the wire body of the full answer table, rendering
+// it on the first call; concurrent first callers wait for that one
+// render. A render failure (a NaN or ±Inf answer) is kept like a body,
+// so every read of the view fails the same way. Rendering at publish
+// instead would charge every advance for a table that may never be read.
+func (v *View) tableBody() ([]byte, error) {
+	t := v.table
+	t.once.Do(func() {
+		body, err := answersBody(v, len(v.Answers), func(k int) answerJSON { return answerToJSON(&v.Answers[k]) })
+		// The body lives as long as the view: keep it at its exact size,
+		// not at the encoder's estimate.
+		t.body, t.err = bytes.Clone(body), err
+	})
+	return t.body, t.err
 }
 
 // ETag returns the strong entity tag of the view — purely a function of

@@ -14,6 +14,7 @@ package value
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -85,7 +86,7 @@ func (v Value) String() string {
 	case Text:
 		return v.Text
 	default:
-		return fmt.Sprintf("value(kind=%d)", uint8(v.Kind))
+		return "value(kind=" + strconv.FormatUint(uint64(v.Kind), 10) + ")"
 	}
 }
 
@@ -105,7 +106,8 @@ func FormatClock(minutes float64) string {
 	if m < 0 {
 		m += 24 * 60
 	}
-	return fmt.Sprintf("%02d:%02d", m/60, m%60)
+	h, mm := m/60, m%60
+	return string([]byte{byte('0' + h/10), byte('0' + h%10), ':', byte('0' + mm/10), byte('0' + mm%10)})
 }
 
 // FormatNumber renders a quantity the way Deep Web stock sources commonly do:
@@ -113,34 +115,44 @@ func FormatClock(minutes float64) string {
 // above 1e5 print with a K/M/B suffix ("6.7M"); everything else prints with
 // the number of decimals implied by the granularity.
 func FormatNumber(x, gran float64) string {
+	var buf [32]byte
 	if gran <= 0 {
-		return trimZeros(fmt.Sprintf("%.6f", x))
+		return string(appendFixed(buf[:0], x, 6))
 	}
 	x = RoundTo(x, gran)
 	switch {
 	case gran >= 1e8:
-		return trimZeros(fmt.Sprintf("%.1f", x/1e9)) + "B"
+		return string(append(appendFixed(buf[:0], x/1e9, 1), 'B'))
 	case gran >= 1e5:
-		return trimZeros(fmt.Sprintf("%.1f", x/1e6)) + "M"
+		return string(append(appendFixed(buf[:0], x/1e6, 1), 'M'))
 	case gran >= 1e2:
-		return trimZeros(fmt.Sprintf("%.1f", x/1e3)) + "K"
+		return string(append(appendFixed(buf[:0], x/1e3, 1), 'K'))
 	case gran >= 1:
-		return trimZeros(fmt.Sprintf("%.0f", x))
+		return string(appendFixed(buf[:0], x, 0))
 	default:
 		decimals := int(math.Ceil(-math.Log10(gran)))
 		if decimals > 9 {
 			decimals = 9
 		}
-		return trimZeros(fmt.Sprintf("%.*f", decimals, x))
+		return string(appendFixed(buf[:0], x, decimals))
 	}
 }
 
-func trimZeros(s string) string {
-	if !strings.Contains(s, ".") {
-		return s
+// appendFixed appends x with the given number of decimals, then trims
+// trailing fractional zeros and a bare decimal point ("12.50" -> "12.5",
+// "3.00" -> "3").
+func appendFixed(dst []byte, x float64, decimals int) []byte {
+	dst = strconv.AppendFloat(dst, x, 'f', decimals, 64)
+	if decimals <= 0 {
+		return dst
 	}
-	s = strings.TrimRight(s, "0")
-	return strings.TrimRight(s, ".")
+	for dst[len(dst)-1] == '0' {
+		dst = dst[:len(dst)-1]
+	}
+	if dst[len(dst)-1] == '.' {
+		dst = dst[:len(dst)-1]
+	}
+	return dst
 }
 
 // RoundTo rounds x to the nearest multiple of step. A non-positive step
