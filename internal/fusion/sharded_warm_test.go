@@ -13,7 +13,8 @@ import (
 // bit-identical to the flat warm reference below (accuWarm) — same
 // global tables, same pure per-item posterior kernel, same
 // global-item-order trust fold, same drift test — at one shard, at many
-// and under a resident-arena budget.
+// and under a resident-arena budget. The reference's results are frozen
+// as the warm digests of testdata/golden_digests.txt.
 
 // accuWarm is the dirty-only warm path of the ACCU family: posteriors are
 // recomputed only for the rebuilt items, trust is re-estimated over the
@@ -121,10 +122,22 @@ func (r flatWarmRef) advance(t *testing.T, ds *model.Dataset, delta *model.Delta
 // reference with a positive trust tolerance, and demands the warm path
 // run on all with bitwise-equal results, for a global-trust method
 // (AccuPr), a popularity-weighted one (PopAccu) and a keyed one
-// (AccuFormatAttr).
+// (AccuFormatAttr). Every day's mode and result must match the frozen
+// warm digests.
 func TestShardedWarmMatchesFlatWarm(t *testing.T) {
 	ds, snaps := incWorld(t, 13, 4)
 	const tol = 0.05
+	var c *digestCheck
+	if digestsComparable(t) {
+		c = loadDigests(t)
+		defer c.report()
+	}
+	expect := func(name string, day int, mode AdvanceMode, res *Result) {
+		t.Helper()
+		if c != nil {
+			c.expect(fmt.Sprintf("warm/%s/day%d", name, day), name, string(mode)+" "+resultDigest(res))
+		}
+	}
 	for _, name := range []string{"AccuPr", "PopAccu", "AccuFormatAttr"} {
 		for _, tc := range []struct{ shards, maxResident int }{{1, 0}, {4, 0}, {4, 1}} {
 			m, _ := ByName(name)
@@ -140,6 +153,8 @@ func TestShardedWarmMatchesFlatWarm(t *testing.T) {
 			}
 			label := fmt.Sprintf("%s shards=%d resident=%d", name, tc.shards, tc.maxResident)
 			sameRun(t, label+" day 0", st.Result, ref.res)
+			expect(name, 0, "cold", ref.res)
+			expect(name, 0, "cold", st.Result)
 
 			for d := 1; d < len(snaps); d++ {
 				ctx := fmt.Sprintf("%s day %d", label, d)
@@ -159,6 +174,8 @@ func TestShardedWarmMatchesFlatWarm(t *testing.T) {
 					t.Fatalf("%s: mode %s (fallback=%v), want warm", ctx, stats.Mode, stats.Fallback)
 				}
 				sameRun(t, ctx, next.Result, nextRef.res)
+				expect(name, d, ModeWarm, nextRef.res)
+				expect(name, d, stats.Mode, next.Result)
 				wantLayout, maxDirty := LayoutSharded, tc.shards
 				if tc.shards == 1 {
 					wantLayout, maxDirty = LayoutFlat, 0
