@@ -61,10 +61,10 @@ BENCH ?= bench.json
 benchgate:
 	$(GO) run ./cmd/benchdiff -old testdata/bench_baseline.json -new $(BENCH) -threshold 1.20
 
-# CPU + allocation profiles of the hottest fusion loops: the flat
-# Method.Run references and the state advance
-# (BenchmarkIncrementalAccuPrDelta), whose rounds run on the round
-# protocol's executor. CI uploads the pprof files (plus the test binary
+# CPU + allocation profiles of the hottest fusion loops: whole
+# Method.Run calls and the state advance
+# (BenchmarkIncrementalAccuPrDelta), all on the round protocol's
+# executor. CI uploads the pprof files (plus the test binary
 # that resolves their symbols) per push, so a layout regression can be
 # diagnosed straight from the run page with
 # `go tool pprof truthdiscovery.test cpu.pprof`. The top-10 cumulative

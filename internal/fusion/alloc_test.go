@@ -49,9 +49,9 @@ func warmRoundAllocs(t *testing.T, name string, run func(opts Options) int) floa
 
 // TestWarmRoundsAllocationFree asserts the tentpole property for every
 // iterative method of the roster: ten extra warm rounds on the serial
-// path allocate zero bytes, both in the flat Method.Run loops and on the
-// round protocol's executor over the one-shard layout — the path every
-// state advance runs. (AccuCopy is excluded — its detection rounds
+// path allocate zero bytes, both through Method.Run (the round
+// protocol's executor over its Problem wrapped as one part) and on the
+// executor over a one-shard build — the path every state advance runs. (AccuCopy is excluded — its detection rounds
 // rebuild the copy-weight structures until the freeze — and Vote has no
 // rounds; see TestVoteAllocationProfile.)
 func TestWarmRoundsAllocationFree(t *testing.T) {

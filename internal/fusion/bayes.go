@@ -1,17 +1,12 @@
 package fusion
 
-import (
-	"math"
-	"time"
-
-	"truthdiscovery/internal/parallel"
-)
+import "math"
 
 // The Bayesian methods (Table 6): TRUTHFINDER plus the ACCU family
 // (ACCUPR, POPACCU, ACCUSIM, ACCUFORMAT, the per-attribute variants, and —
-// in copy.go — ACCUCOPY). The ACCU family shares one engine, accuRun,
-// parameterised by which insights are enabled, mirroring how the paper
-// derives each method from ACCUPR.
+// in copy.go — ACCUCOPY). The ACCU family shares one round loop (runAccu,
+// dist.go) parameterised by which insights are enabled (accuConfig),
+// mirroring how the paper derives each method from ACCUPR.
 
 // TruthFinder (Yin et al.) scores a value by the accumulated
 // -ln(1 - trust) of its providers, boosts the score with similar values'
@@ -35,54 +30,7 @@ const (
 )
 
 // Run implements Method.
-func (TruthFinder) Run(p *Problem, opts Options) *Result {
-	opts = opts.withDefaults()
-	start := time.Now()
-	n := len(p.SourceIDs)
-	tau := initTrust(n, opts.startTrust(), tfInitial)
-	next := make([]float64, n)
-	cnt := make([]float64, n)
-	nlg := make([]float64, n) // per-round -ln(1-tau) table
-	conf := newVoteSpace(p)
-	temps := newWorkerRows(p, opts.Parallelism)
-	res := &Result{Method: "TruthFinder"}
-
-	// Per-item confidence phase: every item only reads the shared vote
-	// table, writes its own conf row and fully rewrites its worker's
-	// raw-score temp, so the loop fans out with bit-identical results at
-	// any parallelism.
-	confPhase := func(worker, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			tfConfItem(&p.Items[i], p.Sim[i], nlg, conf.row(i), temps.rows[worker])
-		}
-	}
-
-	for round := 1; ; round++ {
-		res.Rounds = round
-		tfLogTable(nlg, tau)
-		parallel.ForWorker(len(p.Items), temps.workers, confPhase)
-		if opts.InputTrust != nil {
-			res.Converged = true
-			break
-		}
-		clear(next)
-		clear(cnt)
-		for i := range p.Items {
-			tfFold(&p.Items[i], conf.row(i), next, cnt)
-		}
-		tfTail(next, cnt)
-		delta := maxDelta(tau, next)
-		tau, next = next, tau
-		if delta < opts.Epsilon || round >= opts.MaxRounds {
-			res.Converged = delta < opts.Epsilon
-			break
-		}
-	}
-	res.Trust = tau
-	res.Chosen = choose(p, conf)
-	res.Elapsed = time.Since(start)
-	return res
-}
+func (TruthFinder) Run(p *Problem, opts Options) *Result { return runOnePart(p, TruthFinder{}, opts) }
 
 // accuConfig selects the insights an ACCU-family run uses.
 type accuConfig struct {
@@ -92,7 +40,7 @@ type accuConfig struct {
 	format     bool // format subsumption boost
 	perAttr    bool // per-attribute trust
 	perCat     bool // per-object-category trust (Section 5 extension)
-	copies     bool // ACCUCOPY copy detection (the sharded executor's detect step)
+	copies     bool // ACCUCOPY copy detection (the executor's detect step)
 }
 
 // AccuPr applies Bayesian analysis with N uniformly distributed false
@@ -107,9 +55,7 @@ func (AccuPr) Name() string { return "AccuPr" }
 func (AccuPr) Needs() BuildOptions { return BuildOptions{} }
 
 // Run implements Method.
-func (AccuPr) Run(p *Problem, opts Options) *Result {
-	return accuRun(p, opts, accuConfig{name: "AccuPr"})
-}
+func (AccuPr) Run(p *Problem, opts Options) *Result { return runOnePart(p, AccuPr{}, opts) }
 
 // PopAccu replaces ACCUPR's uniform-false-value assumption with the
 // observed popularity of false values, which keeps popular copied errors
@@ -123,9 +69,7 @@ func (PopAccu) Name() string { return "PopAccu" }
 func (PopAccu) Needs() BuildOptions { return BuildOptions{} }
 
 // Run implements Method.
-func (PopAccu) Run(p *Problem, opts Options) *Result {
-	return accuRun(p, opts, accuConfig{name: "PopAccu", popularity: true})
-}
+func (PopAccu) Run(p *Problem, opts Options) *Result { return runOnePart(p, PopAccu{}, opts) }
 
 // AccuSim augments ACCUPR with the value-similarity boost of TRUTHFINDER.
 type AccuSim struct{ identityScale }
@@ -137,9 +81,7 @@ func (AccuSim) Name() string { return "AccuSim" }
 func (AccuSim) Needs() BuildOptions { return BuildOptions{NeedSimilarity: true} }
 
 // Run implements Method.
-func (AccuSim) Run(p *Problem, opts Options) *Result {
-	return accuRun(p, opts, accuConfig{name: "AccuSim", sim: true})
-}
+func (AccuSim) Run(p *Problem, opts Options) *Result { return runOnePart(p, AccuSim{}, opts) }
 
 // AccuFormat augments ACCUSIM with format subsumption: the provider of
 // "8M" is a partial provider of 7,528,396.
@@ -154,9 +96,7 @@ func (AccuFormat) Needs() BuildOptions {
 }
 
 // Run implements Method.
-func (AccuFormat) Run(p *Problem, opts Options) *Result {
-	return accuRun(p, opts, accuConfig{name: "AccuFormat", sim: true, format: true})
-}
+func (AccuFormat) Run(p *Problem, opts Options) *Result { return runOnePart(p, AccuFormat{}, opts) }
 
 // AccuSimAttr is ACCUSIM with per-attribute source trust.
 type AccuSimAttr struct{ identityScale }
@@ -168,9 +108,7 @@ func (AccuSimAttr) Name() string { return "AccuSimAttr" }
 func (AccuSimAttr) Needs() BuildOptions { return BuildOptions{NeedSimilarity: true} }
 
 // Run implements Method.
-func (AccuSimAttr) Run(p *Problem, opts Options) *Result {
-	return accuRun(p, opts, accuConfig{name: "AccuSimAttr", sim: true, perAttr: true})
-}
+func (AccuSimAttr) Run(p *Problem, opts Options) *Result { return runOnePart(p, AccuSimAttr{}, opts) }
 
 // AccuFormatAttr is ACCUFORMAT with per-attribute source trust — the
 // paper's strongest method on the Stock snapshot.
@@ -186,7 +124,7 @@ func (AccuFormatAttr) Needs() BuildOptions {
 
 // Run implements Method.
 func (AccuFormatAttr) Run(p *Problem, opts Options) *Result {
-	return accuRun(p, opts, accuConfig{name: "AccuFormatAttr", sim: true, format: true, perAttr: true})
+	return runOnePart(p, AccuFormatAttr{}, opts)
 }
 
 // accuTrust holds global accuracies or accuracies keyed by attribute or
@@ -197,195 +135,17 @@ type accuTrust struct {
 	byKey  [][]float64 // [source][attr or category]
 }
 
-func (t *accuTrust) of(s int32, key int32) float64 {
-	if t.keyed {
-		return t.byKey[s][key]
-	}
-	return t.global[s]
-}
-
-// accuScratch is the ACCU engine's per-run pool: the trust re-estimation
-// accumulators (flattened to source-major [source*numKeys+key] for the
-// keyed variants), the per-worker similarity-boost temps, and the score
-// tables the posterior kernels read (the log-odds table refilled each
-// round, the popularity table built once per run). accuIterate and
-// accuWarm allocate it once and reuse it every round.
+// accuScratch holds the ACCU loop's trust re-estimation accumulators
+// (flattened to source-major [source*numKeys+key] for the keyed
+// variants), allocated once per run and reused every round.
 type accuScratch struct {
-	next   []float64
-	cnt    []float64
-	temps  workerRows
-	tables *accuTables
-	pop    *popTable // nil unless cfg.popularity
-}
-
-func newAccuScratch(p *Problem, numKeys int, opts Options, cfg accuConfig) *accuScratch {
-	width := len(p.SourceIDs)
-	if numKeys > 0 {
-		width *= numKeys
-	}
-	sc := &accuScratch{
-		next: make([]float64, width),
-		cnt:  make([]float64, width),
-		// Allocated for every config (a few cache lines): the posterior
-		// phase fans out by temps.workers, and only the sim configs ever
-		// read the rows.
-		temps:  newWorkerRows(p, opts.Parallelism),
-		tables: newAccuTables(len(p.SourceIDs), numKeys, opts, cfg),
-	}
-	if cfg.popularity {
-		sc.pop = newPopTable(p)
-	}
-	return sc
-}
-
-// accuRun is the shared ACCU-family engine. weights, when non-nil, scales
-// each claim's vote (ACCUCOPY's independence probabilities); it is indexed
-// like the problem's buckets via claimWeight.
-func accuRun(p *Problem, opts Options, cfg accuConfig) *Result {
-	opts = opts.withDefaults()
-	start := time.Now()
-	res := accuIterate(p, opts, cfg, nil)
-	res.Elapsed = time.Since(start)
-	return res
+	next []float64
+	cnt  []float64
 }
 
 // claimWeights mirrors the problem's bucket layout: claimWeights[i][b][k]
 // weighs the k-th provider of bucket b on item i.
 type claimWeights [][][]float64
-
-// accuIterate runs the Bayesian iteration; weigh (optional) recomputes the
-// per-claim weights each round from the current state (used by ACCUCOPY).
-func accuIterate(p *Problem, opts Options, cfg accuConfig,
-	weigh func(round int, trust *accuTrust, probs [][]float64, chosen []int32) claimWeights) *Result {
-
-	n := len(p.SourceIDs)
-	numKeys, keyOf := keySetup(p, cfg)
-	trust := &accuTrust{keyed: numKeys > 0}
-	if trust.keyed {
-		trust.byKey = make([][]float64, n)
-		for s := 0; s < n; s++ {
-			trust.byKey[s] = make([]float64, numKeys)
-			for a := range trust.byKey[s] {
-				trust.byKey[s][a] = 0.8
-			}
-			if cfg.perAttr && opts.InputAttrTrust != nil {
-				copy(trust.byKey[s], opts.InputAttrTrust[s])
-			} else if opts.InputTrust != nil {
-				for a := range trust.byKey[s] {
-					trust.byKey[s][a] = opts.InputTrust[s]
-				}
-			} else if opts.InitialTrust != nil {
-				for a := range trust.byKey[s] {
-					trust.byKey[s][a] = opts.InitialTrust[s]
-				}
-			}
-		}
-	} else {
-		trust.global = initTrust(n, opts.startTrust(), 0.8)
-	}
-	trustGiven := opts.InputTrust != nil || (cfg.perAttr && opts.InputAttrTrust != nil)
-
-	probs := newProbRows(p)
-	// Seed probabilities with provider shares (the VOTE prior) so that the
-	// first detection round of ACCUCOPY sees sensible uncertainty.
-	for i := range p.Items {
-		it := &p.Items[i]
-		for b, bk := range it.Buckets {
-			probs[i][b] = float64(len(bk.Sources)) / float64(it.Providers)
-		}
-	}
-	chosen := make([]int32, len(p.Items)) // starts at the dominant bucket
-	res := &Result{Method: cfg.name}
-	sc := newAccuScratch(p, numKeys, opts, cfg)
-
-	var weights claimWeights
-	postPhase := accuPostPhase(p, opts, cfg, keyOf, sc, probs, chosen, nil, &weights)
-
-	for round := 1; ; round++ {
-		res.Rounds = round
-		if weigh != nil {
-			weights = weigh(round, trust, probs, chosen)
-		}
-		sc.tables.update(trust)
-		parallel.ForWorker(len(p.Items), sc.temps.workers, postPhase)
-
-		if trustGiven {
-			// With sampled trust there is no estimation loop; ACCUCOPY
-			// still refines its copy weights until choices stabilise.
-			if weigh == nil || round >= 5 {
-				res.Converged = true
-				break
-			}
-			continue
-		}
-
-		delta := accuReestimate(p, trust, probs, keyOf, numKeys, sc)
-		if delta < opts.Epsilon || round >= opts.MaxRounds {
-			res.Converged = delta < opts.Epsilon
-			break
-		}
-	}
-
-	accuFinish(p, cfg, trust, probs, chosen, keyOf, res)
-	return res
-}
-
-// accuPostPhase builds the per-item posterior phase shared by the cold
-// (accuIterate) and warm (accuWarm) paths: item i reads the (stable)
-// score tables and claim weights, writes only probs[i] and chosen[i],
-// and fully rewrites its worker's boost temp, so the loop fans out with
-// bit-identical results at any parallelism. The caller refills
-// sc.tables from the current trust before each fan-out. idx maps loop
-// positions to item indices (nil = identity — the cold path's full
-// sweep); weights points at the caller's per-round claim weights
-// variable (nil when the path never weighs claims).
-func accuPostPhase(p *Problem, opts Options, cfg accuConfig,
-	keyOf func(int) int32, sc *accuScratch,
-	probs [][]float64, chosen []int32, idx []int, weights *claimWeights) func(worker, lo, hi int) {
-
-	return func(worker, lo, hi int) {
-		tmp := sc.temps.rows[worker]
-		for k := lo; k < hi; k++ {
-			i := k
-			if idx != nil {
-				i = idx[k]
-			}
-			var w [][]float64
-			if weights != nil && *weights != nil {
-				w = (*weights)[i]
-			}
-			var popLg, popCnt []float64
-			if sc.pop != nil {
-				popLg, popCnt = sc.pop.rows(i)
-			}
-			chosen[i] = accuPosterior(p, i, opts, cfg, sc.tables.row(keyOf(i)), popLg, popCnt, w, probs[i], tmp)
-		}
-	}
-}
-
-// keySetup resolves the trust key space of an ACCU-family config: the
-// attribute table for the Attr variants, the object categories for the Cat
-// extension, a single global key otherwise (numKeys 0).
-func keySetup(p *Problem, cfg accuConfig) (numKeys int, keyOf func(int) int32) {
-	keyOf = func(i int) int32 { return 0 }
-	switch {
-	case cfg.perAttr:
-		numKeys = p.NumAttrs
-		keyOf = func(i int) int32 { return int32(p.Items[i].Attr) }
-	case cfg.perCat:
-		numKeys = len(p.CatNames)
-		if numKeys == 0 {
-			numKeys = 1
-		}
-		keyOf = func(i int) int32 {
-			if p.Cats == nil {
-				return 0
-			}
-			return p.Cats[i]
-		}
-	}
-	return numKeys, keyOf
-}
 
 // accuPosterior computes one item's value posteriors into scores and
 // returns the winning bucket. It is a pure function of the item's
@@ -518,29 +278,6 @@ func accuScorePopW(it *ProblemItem, lo, popLg, popCnt []float64, w [][]float64, 
 	}
 }
 
-// accuReestimate recomputes trust from the current posteriors (the M-step
-// of the Bayesian iteration) into the scratch accumulators and returns
-// the largest per-entry move. The accumulation order is the item order,
-// independent of any parallelism.
-func accuReestimate(p *Problem, trust *accuTrust, probs [][]float64,
-	keyOf func(int) int32, numKeys int, sc *accuScratch) float64 {
-
-	if trust.keyed {
-		clear(sc.next)
-		clear(sc.cnt)
-		for i := range p.Items {
-			accuFoldKeyed(&p.Items[i], int(keyOf(i)), numKeys, probs[i], sc.next, sc.cnt)
-		}
-		return accuKeyedTail(trust, numKeys, sc.next, sc.cnt)
-	}
-	clear(sc.next)
-	clear(sc.cnt)
-	for i := range p.Items {
-		accuFoldGlobal(&p.Items[i], probs[i], sc.next, sc.cnt)
-	}
-	return accuGlobalTail(trust, sc)
-}
-
 // accuFoldKeyed folds one item's posteriors into the keyed trust
 // accumulators (flattened source-major).
 func accuFoldKeyed(it *ProblemItem, key, numKeys int, row, next, cnt []float64) {
@@ -601,34 +338,6 @@ func accuGlobalTail(trust *accuTrust, sc *accuScratch) float64 {
 	return delta
 }
 
-// accuFinish writes the run outputs: scalar trust (per-source mean for the
-// keyed variants), attribute trust, chosen buckets and posteriors.
-func accuFinish(p *Problem, cfg accuConfig, trust *accuTrust, probs [][]float64,
-	chosen []int32, keyOf func(int) int32, res *Result) {
-
-	if trust.keyed {
-		n := len(trust.byKey)
-		if cfg.perAttr {
-			res.AttrTrust = trust.byKey
-		}
-		// Report the per-source mean as the scalar trust.
-		res.Trust = make([]float64, n)
-		claims := make([]float64, n)
-		for i := range p.Items {
-			accuMeanFold(&p.Items[i], keyOf(i), trust.byKey, res.Trust, claims)
-		}
-		for s := range res.Trust {
-			if claims[s] > 0 {
-				res.Trust[s] /= claims[s]
-			}
-		}
-	} else {
-		res.Trust = trust.global
-	}
-	res.Chosen = chosen
-	res.Posteriors = probs
-}
-
 // accuMeanFold folds one item into the per-source keyed-trust mean (the
 // scalar-trust report of the keyed ACCU variants).
 func accuMeanFold(it *ProblemItem, key int32, byKey [][]float64, acc, claims []float64) {
@@ -643,9 +352,8 @@ func accuMeanFold(it *ProblemItem, key int32, byKey [][]float64, acc, claims []f
 // tfConfItem computes one item's TRUTHFINDER confidences; nlg is the
 // per-round -ln(1-min(tau, tfMaxTau)) table (tfLogTable) and tmp a
 // per-worker temporary of at least len(it.Buckets) entries, fully
-// rewritten here. Shared verbatim by the flat loop and the round
-// protocol's executor (dist.go), like every kernel in this file. The
-// similarity boost splits at the diagonal into two straight-line slice
+// rewritten here. The round protocol's executor (dist.go) runs it, like
+// every kernel in this file, on every path. The similarity boost splits at the diagonal into two straight-line slice
 // loops, preserving the exact skip-b accumulation order without the
 // per-entry branch.
 func tfConfItem(it *ProblemItem, sim []float32, nlg []float64, row, tmp []float64) {

@@ -2,10 +2,8 @@ package fusion
 
 import (
 	"sort"
-	"time"
 
 	"truthdiscovery/internal/copydetect"
-	"truthdiscovery/internal/model"
 	"truthdiscovery/internal/parallel"
 	"truthdiscovery/internal/value"
 )
@@ -38,60 +36,26 @@ func (AccuCopy) Needs() BuildOptions {
 const copyVoteRate = 0.8
 
 // Run implements Method.
-func (AccuCopy) Run(p *Problem, opts Options) *Result {
-	opts = opts.withDefaults()
-	start := time.Now()
+func (AccuCopy) Run(p *Problem, opts Options) *Result { return runOnePart(p, AccuCopy{}, opts) }
 
-	if opts.KnownGroups != nil {
-		res := runWithKnownGroups(p, opts)
-		res.Elapsed = time.Since(start)
-		return res
-	}
-
-	// Detection is refreshed for the first several rounds and then frozen,
-	// so the joint iteration of copy probabilities, value probabilities and
-	// accuracies can settle instead of oscillating on borderline items.
-	const freezeAfter = 8
-	var frozen claimWeights
-	cfg := accuConfig{name: "AccuCopy", sim: true, format: true}
-	res := accuIterate(p, opts, cfg, func(round int, trust *accuTrust, probs [][]float64, chosen []int32) claimWeights {
-		if round > freezeAfter && frozen != nil {
-			return frozen
-		}
-		acc := make([]float64, len(p.SourceIDs))
-		for s := range acc {
-			if trust.global != nil {
-				acc[s] = trust.global[s]
-			} else {
-				acc[s] = 0.8
+// detectCopies is ACCUCOPY's detection step: one copy-detection
+// observation per item of sp, built from the current choices and
+// posteriors (global item order, both indexed by global item), then the
+// pairwise detector. It returns the dependence matrix.
+func detectCopies(sp *ShardedProblem, chosen []int32, probs [][]float64, acc []float64, opts Options) [][]float64 {
+	obs := make([]copydetect.Observation, sp.NumItems())
+	// Each item's observation is assembled independently (disjoint obs[g]
+	// writes), so the pass fans out bit-identically at any parallelism.
+	sp.sweep(opts.Parallelism, func(k int, p *Problem, par int) {
+		base := sp.parts[k].base
+		parallel.For(len(p.Items), par, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				g := base + i
+				buildObservation(&p.Items[i], chosen[g], probs[g], opts, &obs[g])
 			}
-		}
-		dep := detectOnProblem(p, chosen, probs, acc, opts)
-		frozen = independenceWeights(p, acc, dep, opts.Parallelism)
-		return frozen
-	})
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-// detectOnProblem converts the problem plus the current truth assignment
-// into copy-detection observations and runs the detector. probs (optional)
-// supplies the current per-bucket truth probabilities, used to weight
-// shared-false evidence by how confidently false the shared value is.
-func detectOnProblem(p *Problem, chosen []int32, probs [][]float64, acc []float64, opts Options) [][]float64 {
-	obs := make([]copydetect.Observation, len(p.Items))
-	// Each item's observation is assembled independently (disjoint obs[i]
-	// writes), so the loop fans out bit-identically at any parallelism.
-	parallel.For(len(p.Items), opts.Parallelism, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var prow []float64
-			if probs != nil {
-				prow = probs[i]
-			}
-			buildObservation(&p.Items[i], chosen[i], prow, opts, &obs[i])
-		}
-	})
-	return copydetect.Detect(len(p.SourceIDs), obs, acc, copydetect.Options{
+		})
+	}, nil)
+	return copydetect.Detect(len(sp.SourceIDs), obs, acc, copydetect.Options{
 		NFalse:         opts.NFalse,
 		UniformFalse:   opts.CopyDetectPaper2009,
 		Parallelism:    opts.Parallelism,
@@ -102,8 +66,7 @@ func detectOnProblem(p *Problem, chosen []int32, probs [][]float64, acc []float6
 // buildObservation converts one item's buckets plus the current truth
 // assignment into one copy-detection observation. chosenB is the item's
 // winning bucket; prow (optional) its current per-bucket truth
-// probabilities. A pure per-item function, shared by the flat detector
-// path and the round protocol's copy-detection step (dist.go).
+// probabilities. A pure per-item function.
 func buildObservation(it *ProblemItem, chosenB int32, prow []float64, opts Options, out *copydetect.Observation) {
 	o := copydetect.Observation{
 		Sources:   make([]int32, 0, it.Providers),
@@ -188,48 +151,6 @@ func independenceWeightsItem(it *ProblemItem, acc []float64, dep [][]float64) []
 	return wi
 }
 
-// runWithKnownGroups ignores every known copier (keeping each group's first
-// member) and runs the ACCUFORMAT engine on the filtered problem.
-func runWithKnownGroups(p *Problem, opts Options) *Result {
-	ignore := make([]bool, len(p.SourceIDs))
-	indexOf := make(map[model.SourceID]int, len(p.SourceIDs))
-	for i, s := range p.SourceIDs {
-		indexOf[s] = i
-	}
-	for _, grp := range opts.KnownGroups {
-		for gi, s := range grp {
-			if gi == 0 {
-				continue
-			}
-			if idx, ok := indexOf[s]; ok {
-				ignore[idx] = true
-			}
-		}
-	}
-	filtered := filterProblem(p, ignore)
-	cfg := accuConfig{name: "AccuCopy", sim: true, format: true}
-	res := accuIterate(filtered, opts, cfg, nil)
-
-	// Map choices back to the unfiltered bucket indexing.
-	chosen := make([]int32, len(p.Items))
-	fi := 0
-	for i := range p.Items {
-		chosen[i] = 0
-		if fi < len(filtered.Items) && filtered.Items[fi].Item == p.Items[i].Item {
-			rep := filtered.Items[fi].Buckets[res.Chosen[fi]].Rep
-			for b, bk := range p.Items[i].Buckets {
-				if bk.Rep == rep {
-					chosen[i] = int32(b)
-					break
-				}
-			}
-			fi++
-		}
-	}
-	res.Chosen = chosen
-	return res
-}
-
 // filterProblem removes all claims of the ignored sources, dropping items
 // and buckets that become empty and re-ranking each item's buckets by kept
 // providers (stable). Aux structures are rebuilt, and the filtered problem
@@ -301,7 +222,9 @@ func filterProblem(p *Problem, ignore []bool) *Problem {
 	return out
 }
 
-// DebugDetect exposes the detection step for diagnostics and tests.
+// DebugDetect exposes the detection step for diagnostics and tests: the
+// detector over the given choices, with each item's provider shares (the
+// VOTE prior) as its truth probabilities.
 func DebugDetect(p *Problem, chosen []int32, acc []float64, opts Options) [][]float64 {
 	probs := newProbRows(p)
 	for i := range p.Items {
@@ -310,5 +233,5 @@ func DebugDetect(p *Problem, chosen []int32, acc []float64, opts Options) [][]fl
 			probs[i][b] = float64(len(bk.Sources)) / float64(it.Providers)
 		}
 	}
-	return detectOnProblem(p, chosen, probs, acc, opts.withDefaults())
+	return detectCopies(onePart(p), chosen, probs, acc, opts.withDefaults())
 }

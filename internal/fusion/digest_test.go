@@ -20,14 +20,17 @@ import (
 )
 
 // The frozen reference. testdata/golden_digests.txt holds SHA-256
-// digests of what the flat Method.Run loops compute: cold runs of every
-// method on reduced simulated Stock and Flight under four option sets,
-// AccuCopy's known-groups and detector settings, the copy detector's
-// matrix, the churn world's exact advance chain, and the warm advance
-// chain of the flat warm reference (TestShardedWarmMatchesFlatWarm).
-// The round executor — every shard layout, every state advance — must
-// reproduce each digest bit for bit. The table is never regenerated: a
-// digest that moves is a behaviour change.
+// digests of what each method's own flat round loop computed, back when
+// every method still had one beside the round executor: cold runs of
+// every method on reduced simulated Stock and Flight under four option
+// sets, AccuCopy's known-groups and detector settings, the copy
+// detector's matrix, the churn world's exact advance chain, and the warm
+// advance chain of the flat warm reference
+// (TestShardedWarmMatchesFlatWarm). The executor is now the only code
+// that runs a round; the digests pin its loops — start trust, tails,
+// convergence and finish — to what the flat loops computed, on every
+// path: Method.Run, every shard layout, every state advance. The table
+// is never regenerated: a digest that moves is a behaviour change.
 
 const digestFile = "testdata/golden_digests.txt"
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"truthdiscovery/internal/copydetect"
 	"truthdiscovery/internal/model"
 	"truthdiscovery/internal/parallel"
 )
@@ -25,16 +24,17 @@ import (
 //
 // DistExec executes the protocol over a shard set. DistRun's loops drive
 // it: one for the eight single-trust-vector methods (runVector), one for
-// the ACCU family (runAccu). ShardedProblem.Run runs the same loops over
-// one in-process DistExec that spans every shard; a distributed run
-// drives one DistExec per worker (internal/dist wraps it in HTTP),
-// chaining the folds through the workers in ascending shard order. Range
-// sharding makes worker order equal global item order, and every fold
-// visits items in global item order, so the floating-point association
-// is exactly the flat engine's: results are bit-identical to flat
-// Method.Run at any shard or worker count. The per-item kernels are
-// shared with the flat loops (weblink.go, ir.go, bayes.go, copy.go),
-// which stay as the bit-identity reference.
+// the ACCU family (runAccu). These loops are the only code that runs a
+// round. ShardedProblem.Run runs them over one in-process DistExec that
+// spans every shard, and Method.Run over the caller's Problem wrapped as
+// one part (onePart); a distributed run drives one DistExec per worker
+// (internal/dist wraps it in HTTP), chaining the folds through the
+// workers in ascending shard order. Range sharding makes worker order
+// equal global item order, and every fold visits items in global item
+// order, so the floating-point association never depends on the layout:
+// results are bit-identical at any shard or worker count. The per-item
+// kernels live with their methods (weblink.go, ir.go, bayes.go, copy.go);
+// testdata/golden_digests.txt freezes what the loops compute.
 
 // Phase, space and fold selectors of the DistPeer protocol. Only
 // 3-ESTIMATES uses the second phase/space (its per-value error factors);
@@ -63,8 +63,8 @@ type DistPeer interface {
 
 // BuildShardedOwned builds the shard problems of shards [lo, hi) only —
 // one worker's owned slice of the spec, a contiguous run of global item
-// order, so chaining workers in shard order reproduces the flat fold
-// association. The assembled ClaimsPerSource covers only the owned
+// order, so chaining workers in shard order reproduces the one-process
+// fold association. The assembled ClaimsPerSource covers only the owned
 // shards; distributed runs use the coordinator's global sum instead
 // (NewDistExec).
 func BuildShardedOwned(ds *model.Dataset, snap *model.Snapshot, sources []model.SourceID,
@@ -106,7 +106,7 @@ func BuildShardedOwned(ds *model.Dataset, snap *model.Snapshot, sources []model.
 // the shard problem deterministically). The cross-shard structures are
 // re-derived afterwards, so the next run sees the updated snapshot — the
 // distributed ingest path re-runs fusion in full, which stays
-// bit-identical to flat Fuse of the advanced snapshot.
+// bit-identical to a fresh fuse of the advanced snapshot.
 func (sp *ShardedProblem) ApplyShardDeltas(deltas []*model.Delta) error {
 	if len(deltas) != len(sp.parts) {
 		return fmt.Errorf("fusion: %d shard deltas for %d owned shards", len(deltas), len(sp.parts))
@@ -209,9 +209,8 @@ func DistCheck(m Method, opts Options) error {
 // answers after the run.
 //
 // Every kernel, fold and shard pass is built once per executor and reads
-// the round's trust state and accumulators from the executor's fields,
-// as the flat loops build their phase closures once per run: a warm
-// round allocates nothing.
+// the round's trust state and accumulators from the executor's fields:
+// a warm round allocates nothing.
 //
 // Over a memory budget (some shard arenas evicted), Phase defers its
 // pass: the next Phase, MinMax, Rescale, LocalResult or copy-detection
@@ -368,7 +367,7 @@ func newExec(sp *ShardedProblem, m Method, opts Options, cps []int, dirty [][]in
 			break // rows from seedWarm
 		}
 		// Posteriors: per-shard flat arenas with global row views in item
-		// order — the sharded analogue of newProbRows.
+		// order.
 		for _, pt := range sp.parts {
 			flat := make([]float64, pt.numBuckets())
 			for i := 0; i < pt.n; i++ {
@@ -377,9 +376,9 @@ func newExec(sp *ShardedProblem, m Method, opts Options, cps []int, dirty [][]in
 		}
 		if cfg.copies {
 			// Seed the posteriors with provider shares (the VOTE prior) so
-			// the first detection round sees sensible uncertainty, as
-			// accuIterate does. Plain runs skip the pass: round 1 rewrites
-			// every row before any fold reads it.
+			// the first detection round sees sensible uncertainty. Plain
+			// runs skip the pass: round 1 rewrites every row before any
+			// fold reads it.
 			sp.sweep(opts.Parallelism, nil, func(k int, p *Problem, i, g int) {
 				it := &p.Items[i]
 				for b, bk := range it.Buckets {
@@ -650,9 +649,11 @@ func (e *DistExec) Fold(fold int, trust []float64, byKey [][]float64, acc [][]fl
 }
 
 // detect is ACCUCOPY's per-round step (in-process only): copy detection
-// over the observations gathered in global item order — identical, entry
-// for entry, to the flat detector's — then per-shard independence
-// weights for the next phase. Frozen after round 8, as in AccuCopy.Run.
+// over the executor's current choices and posteriors (detectCopies),
+// then per-shard independence weights for the next phase. Detection is
+// refreshed for the first rounds and then frozen, so the joint iteration
+// of copy probabilities, value probabilities and accuracies can settle
+// instead of oscillating on borderline items.
 func (e *DistExec) detect(round int, trust *accuTrust) {
 	const freezeAfter = 8
 	if round > freezeAfter && e.weights != nil {
@@ -661,22 +662,7 @@ func (e *DistExec) detect(round int, trust *accuTrust) {
 	e.flush()
 	sp, opts := e.sp, e.opts
 	acc := append([]float64(nil), trust.global...)
-	obs := make([]copydetect.Observation, sp.NumItems())
-	sp.sweep(opts.Parallelism, func(k int, p *Problem, par int) {
-		base := sp.parts[k].base
-		parallel.For(len(p.Items), par, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				g := base + i
-				buildObservation(&p.Items[i], e.chosen[g], e.probs[g], opts, &obs[g])
-			}
-		})
-	}, nil)
-	dep := copydetect.Detect(len(sp.SourceIDs), obs, acc, copydetect.Options{
-		NFalse:         opts.NFalse,
-		UniformFalse:   opts.CopyDetectPaper2009,
-		Parallelism:    opts.Parallelism,
-		CountChunkSize: opts.CopyDetectChunkSize,
-	})
+	dep := detectCopies(sp, e.chosen, e.probs, acc, opts)
 	w := make([]claimWeights, len(sp.parts))
 	sp.sweep(opts.Parallelism, func(k int, p *Problem, par int) {
 		w[k] = independenceWeights(p, acc, dep, par)
@@ -689,9 +675,9 @@ func (e *DistExec) detect(round int, trust *accuTrust) {
 // share prev's posterior rows read-only (prevIdxOf[k] aligns shard k's
 // items to the old ones, nil for untouched shards), and every other item
 // gets a fresh row, fully rewritten by the first phase before any fold
-// reads it — so a warm run allocates rows for its rebuilt items only, as
-// the flat accuWarm does. It returns prev's converged trust as the loop's
-// warm start, and false when prev lacks the state.
+// reads it — so a warm run allocates rows for its rebuilt items only. It
+// returns prev's converged trust as the loop's warm start, and false when
+// prev lacks the state.
 func (e *DistExec) seedWarm(prevSP *ShardedProblem, prev *Result, prevIdxOf [][]int) (*accuTrust, bool) {
 	base := &accuTrust{keyed: e.numKeys > 0}
 	if base.keyed {
@@ -730,7 +716,7 @@ func (e *DistExec) Problem() *ShardedProblem { return e.sp }
 // LocalResult assembles the executor's slice of the global result: its
 // items' chosen buckets (and posteriors for the ACCU family) under the
 // loop's converged trust. Concatenating the workers' answers in shard
-// order reproduces the flat result exactly.
+// order reproduces the one-process result exactly.
 func (e *DistExec) LocalResult(trust []float64, attrTrust [][]float64, rounds int, converged bool) *Result {
 	e.flush()
 	res := &Result{
@@ -869,8 +855,7 @@ func (d *distDriver) broadcast(op int) error {
 
 // rescale runs the global [0,1] renormalisation: gather every peer's
 // extrema, combine (exact — min/max have no association sensitivity),
-// broadcast the rescale. Like rescaleFlat it leaves degenerate scores
-// untouched.
+// broadcast the rescale. Degenerate scores (max <= min) stay untouched.
 func (d *distDriver) rescale(space int) error {
 	d.space = space
 	d.lo, d.hi = flatMinMax(nil)
@@ -1035,8 +1020,10 @@ func accuTrustGiven(opts Options, cfg accuConfig) bool {
 	return opts.InputTrust != nil || (cfg.perAttr && opts.InputAttrTrust != nil)
 }
 
-// accuStart returns the ACCU family's cold start trust, from supplied
-// trust where given — exactly accuIterate's.
+// accuStart returns the ACCU family's cold start trust: 0.8 for every
+// source and key, or the supplied trust where given — per-attribute
+// input trust for the Attr variants, else input or initial trust
+// repeated across the keys.
 func accuStart(n, numKeys int, cfg accuConfig, opts Options) *accuTrust {
 	if numKeys == 0 {
 		return &accuTrust{global: initTrust(n, opts.startTrust(), 0.8)}
@@ -1137,8 +1124,8 @@ func (d *distDriver) runAccu(cfg accuConfig, n, numKeys int) error {
 // exactly once. n is the shared roster size, numAttrs the dataset's
 // attribute count (the per-attribute ACCU key space), cps the global
 // per-source claim counts (the sum of the workers' local counts). The
-// returned trust state is bit-identical to flat Fuse on the union
-// snapshot; per-worker answers come from DistExec.LocalResult.
+// returned trust state is bit-identical to an in-process run on the
+// union snapshot; per-worker answers come from DistExec.LocalResult.
 func DistRun(m Method, opts Options, peers []DistPeer, n, numAttrs int, cps []int) (*DistResult, error) {
 	if err := DistCheck(m, opts); err != nil {
 		return nil, err

@@ -1,9 +1,5 @@
 package fusion
 
-import (
-	"time"
-)
-
 // This file implements the future-work directions of the paper's Section 5
 // as working methods:
 //
@@ -54,54 +50,9 @@ func (e Ensemble) members() []string {
 	return DefaultEnsemble
 }
 
-// Run implements Method.
-func (e Ensemble) Run(p *Problem, opts Options) *Result {
-	start := time.Now()
-	var results []*Result
-	rounds := 0
-	for _, name := range e.members() {
-		m, ok := ByName(name)
-		if !ok {
-			continue
-		}
-		r := m.Run(p, opts)
-		results = append(results, r)
-		rounds += r.Rounds
-	}
-	chosen := make([]int32, len(p.Items))
-	for i := range p.Items {
-		votes := make([]float64, len(p.Items[i].Buckets))
-		for _, r := range results {
-			votes[r.Chosen[i]]++
-		}
-		// Fractional tie-break toward better-supported buckets.
-		for b := range votes {
-			votes[b] += 0.5 * float64(len(p.Items[i].Buckets[b].Sources)) / float64(p.Items[i].Providers+1)
-		}
-		chosen[i] = argmax32(votes)
-	}
-	// Report the mean member trust (where members expose compatible scales).
-	var trust []float64
-	for _, r := range results {
-		if r.Trust == nil {
-			continue
-		}
-		if trust == nil {
-			trust = make([]float64, len(r.Trust))
-		}
-		for s := range r.Trust {
-			trust[s] += r.Trust[s] / float64(len(results))
-		}
-	}
-	return &Result{
-		Method:    "Ensemble",
-		Chosen:    chosen,
-		Trust:     trust,
-		Rounds:    rounds,
-		Converged: true,
-		Elapsed:   time.Since(start),
-	}
-}
+// Run implements Method: the members run on the round executor, and the
+// per-item majority vote is ensembleSharded's.
+func (e Ensemble) Run(p *Problem, opts Options) *Result { return runOnePart(p, e, opts) }
 
 // AccuSimCat is ACCUSIM with trust distinguished per object category (the
 // object's Group: the operating airline for flights), the paper's
@@ -115,9 +66,7 @@ func (AccuSimCat) Name() string { return "AccuSimCat" }
 func (AccuSimCat) Needs() BuildOptions { return BuildOptions{NeedSimilarity: true} }
 
 // Run implements Method.
-func (AccuSimCat) Run(p *Problem, opts Options) *Result {
-	return accuRun(p, opts, accuConfig{name: "AccuSimCat", sim: true, perCat: true})
-}
+func (AccuSimCat) Run(p *Problem, opts Options) *Result { return runOnePart(p, AccuSimCat{}, opts) }
 
 // ExtensionMethods returns the Section 5 extension methods (not part of the
 // paper's evaluated roster).

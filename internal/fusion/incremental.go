@@ -25,11 +25,12 @@ import (
 //   - everything else (and the default zero tolerance) re-runs the full
 //     iteration on the incrementally maintained problem.
 //
-// On the default zero tolerance every path is bit-identical to building
-// the target snapshot's problem from scratch and calling Method.Run — the
-// incremental win is the problem maintenance and the item-local shortcut
-// — which the equivalence tests assert method by method, at one shard and
-// at many.
+// On the default zero tolerance every path is bit-identical to a cold
+// run on the target snapshot — a fresh Build and the same executor — so
+// the incremental win is the problem maintenance and the item-local
+// shortcut. The equivalence tests and the frozen advance digests
+// (testdata/golden_digests.txt) assert it method by method, at one shard
+// and at many.
 
 // State is a reusable fused state for one (dataset, source roster,
 // method, layout) stream. Treat all fields as read-only once built.

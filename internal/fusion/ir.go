@@ -1,11 +1,6 @@
 package fusion
 
-import (
-	"math"
-	"time"
-
-	"truthdiscovery/internal/parallel"
-)
+import "math"
 
 // The IR-based methods of Galland et al. (Table 6): COSINE, 2-ESTIMATES and
 // 3-ESTIMATES. A source providing value v on an item implicitly votes
@@ -14,8 +9,8 @@ import (
 //
 // Scores live in the flat vote space (one float64 per bucket, spanned by
 // Problem.BucketOff), which the 2-/3-Estimates "complex normalisation"
-// rescales in place — the per-round flat/jagged copy round-trips of the
-// old layout are gone. All per-round buffers are allocated once in Run.
+// rescales in place through the round protocol's global rescale
+// (dist.go).
 
 // Cosine computes source trust as the cosine similarity between the
 // source's +-1 claim vector and the current truth scores, weights votes by
@@ -45,59 +40,7 @@ func (Cosine) TrustScale(accuracy []float64) []float64 {
 const cosineDamping = 0.2
 
 // Run implements Method.
-func (Cosine) Run(p *Problem, opts Options) *Result {
-	opts = opts.withDefaults()
-	start := time.Now()
-	n := len(p.SourceIDs)
-	trust := initTrust(n, opts.startTrust(), 0.5)
-	next := make([]float64, n)
-	num := make([]float64, n)
-	den := make([]float64, n)  // score-norm contribution per source
-	cnt := make([]float64, n)  // claim-vector norm^2 per source
-	cube := make([]float64, n) // per-round trust^3 table
-	scores := newVoteSpace(p)
-	temps := newWorkerRows(p, opts.Parallelism)
-
-	// Truth scores in [-1, 1]: cubic positive mass minus cubic negative
-	// mass over the item's total cubic mass. Disjoint row writes and a
-	// fully rewritten per-worker cubic-mass temp, so the loop fans out
-	// bit-identically at any parallelism.
-	scorePhase := func(worker, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			cosineScoreItem(&p.Items[i], cube, scores.row(i), temps.rows[worker])
-		}
-	}
-
-	res := &Result{Method: "Cosine"}
-	for round := 1; ; round++ {
-		res.Rounds = round
-		cosineCubeTable(cube, trust)
-		parallel.ForWorker(len(p.Items), temps.workers, scorePhase)
-		if opts.InputTrust != nil {
-			res.Converged = true
-			break
-		}
-		// Cosine similarity between each source's claim vector (+1 claimed,
-		// -1 other observed values) and the score vector.
-		clear(num)
-		clear(den)
-		clear(cnt)
-		for i := range p.Items {
-			cosineFold(&p.Items[i], scores.row(i), num, den, cnt)
-		}
-		cosineTail(trust, num, den, cnt, next)
-		delta := maxDelta(trust, next)
-		trust, next = next, trust
-		if delta < opts.Epsilon || round >= opts.MaxRounds {
-			res.Converged = delta < opts.Epsilon
-			break
-		}
-	}
-	res.Trust = trust
-	res.Chosen = choose(p, scores)
-	res.Elapsed = time.Since(start)
-	return res
-}
+func (Cosine) Run(p *Problem, opts Options) *Result { return runOnePart(p, Cosine{}, opts) }
 
 // TwoEstimates averages positive and complement votes and applies the full
 // [0,1] linear renormalisation Galland et al. require for convergence.
@@ -111,49 +54,7 @@ func (TwoEstimates) Needs() BuildOptions { return BuildOptions{} }
 
 // Run implements Method.
 func (TwoEstimates) Run(p *Problem, opts Options) *Result {
-	opts = opts.withDefaults()
-	start := time.Now()
-	n := len(p.SourceIDs)
-	trust := initTrust(n, opts.startTrust(), 0.8)
-	next := make([]float64, n)
-	cnt := make([]float64, n)
-	scores := newVoteSpace(p)
-
-	// Per-item vote phase: item i writes only its own span of the flat
-	// score space, so the loop fans out bit-identically.
-	votePhase := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			twoEstVoteItem(&p.Items[i], trust, scores.row(i))
-		}
-	}
-
-	res := &Result{Method: "2-Estimates"}
-	for round := 1; ; round++ {
-		res.Rounds = round
-		parallel.For(len(p.Items), opts.Parallelism, votePhase)
-		rescaleFlat(scores.flat, opts.Parallelism)
-		if opts.InputTrust != nil {
-			res.Converged = true
-			break
-		}
-		clear(next)
-		clear(cnt)
-		for i := range p.Items {
-			twoEstFold(&p.Items[i], scores.row(i), next, cnt)
-		}
-		divideBy(next, cnt)
-		rescale01(next)
-		delta := maxDelta(trust, next)
-		trust, next = next, trust
-		if delta < opts.Epsilon || round >= opts.MaxRounds {
-			res.Converged = delta < opts.Epsilon
-			break
-		}
-	}
-	res.Trust = trust
-	res.Chosen = choose(p, scores)
-	res.Elapsed = time.Since(start)
-	return res
+	return runOnePart(p, TwoEstimates{}, opts)
 }
 
 // ThreeEstimates extends 2-ESTIMATES with a per-value error factor
@@ -169,115 +70,7 @@ func (ThreeEstimates) Needs() BuildOptions { return BuildOptions{} }
 
 // Run implements Method.
 func (ThreeEstimates) Run(p *Problem, opts Options) *Result {
-	opts = opts.withDefaults()
-	start := time.Now()
-	n := len(p.SourceIDs)
-	trust := initTrust(n, opts.startTrust(), 0.8)
-	next := make([]float64, n)
-	cnt := make([]float64, n)
-	scores := newVoteSpace(p)
-	eps := newVoteSpace(p) // per-value error factor
-	for i := range eps.flat {
-		eps.flat[i] = 0.4
-	}
-
-	// sigma(v) = avg_s [ claimed: 1-(1-theta)eps ; other: (1-theta)eps ].
-	// Item i writes only its own flat span, so the loop fans out
-	// bit-identically.
-	sigmaPhase := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			threeEstSigmaItem(&p.Items[i], trust, scores.row(i), eps.row(i))
-		}
-	}
-
-	// eps(v) = avg_s [ claimed: (1-sigma)/(1-theta) ; other: sigma/(1-theta) ].
-	epsPhase := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			threeEstEpsItem(&p.Items[i], trust, scores.row(i), eps.row(i))
-		}
-	}
-
-	res := &Result{Method: "3-Estimates"}
-	for round := 1; ; round++ {
-		res.Rounds = round
-		parallel.For(len(p.Items), opts.Parallelism, sigmaPhase)
-		rescaleFlat(scores.flat, opts.Parallelism)
-
-		parallel.For(len(p.Items), opts.Parallelism, epsPhase)
-		rescaleFlat(eps.flat, opts.Parallelism)
-
-		if opts.InputTrust != nil {
-			res.Converged = true
-			break
-		}
-		// theta(s) = avg_v [ claimed: 1-(1-sigma)/eps ; other: 1-sigma/eps ].
-		clear(next)
-		clear(cnt)
-		for i := range p.Items {
-			threeEstFold(&p.Items[i], scores.row(i), eps.row(i), next, cnt)
-		}
-		divideBy(next, cnt)
-		rescale01(next)
-		delta := maxDelta(trust, next)
-		trust, next = next, trust
-		if delta < opts.Epsilon || round >= opts.MaxRounds {
-			res.Converged = delta < opts.Epsilon
-			break
-		}
-	}
-	res.Trust = trust
-	res.Chosen = choose(p, scores)
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-// rescaleFlat is rescale01 with the min/max scan and the scaling loop
-// fanned out. Min/max is exact under any chunking and the scaling is
-// element-wise, so the result is bit-identical to the serial rescale at
-// any parallelism.
-func rescaleFlat(xs []float64, parallelism int) {
-	n := len(xs)
-	w := parallel.Workers(parallelism)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		rescale01(xs)
-		return
-	}
-	lows := make([]float64, w)
-	his := make([]float64, w)
-	parallel.For(w, w, func(clo, chi int) {
-		for c := clo; c < chi; c++ {
-			l, h := math.Inf(1), math.Inf(-1)
-			for _, x := range xs[c*n/w : (c+1)*n/w] {
-				if x < l {
-					l = x
-				}
-				if x > h {
-					h = x
-				}
-			}
-			lows[c], his[c] = l, h
-		}
-	})
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for c := 0; c < w; c++ {
-		if lows[c] < lo {
-			lo = lows[c]
-		}
-		if his[c] > hi {
-			hi = his[c]
-		}
-	}
-	if hi <= lo {
-		return
-	}
-	// Batched over ranges via rescaleSpan — the same straight-line slice
-	// loop the sharded and distributed rescales use.
-	parallel.For(n, parallelism, func(a, b int) {
-		rescaleSpan(xs[a:b], lo, hi)
-	})
+	return runOnePart(p, ThreeEstimates{}, opts)
 }
 
 func sumTrust(ss []int32, trust []float64) float64 {
@@ -288,10 +81,9 @@ func sumTrust(ss []int32, trust []float64) float64 {
 	return t
 }
 
-// The per-item kernels of the IR family. Each is shared verbatim by the
-// flat round loops above and the round protocol's executor (dist.go),
-// which runs every sharded and distributed round, so the paths perform
-// the same floating-point operations in the same per-item order — the
+// The per-item kernels of the IR family. The round protocol's executor
+// (dist.go) runs them on every path, so all paths perform the same
+// floating-point operations in the same per-item order — the
 // bit-identity contract.
 
 // cosineScoreItem computes one item's truth scores in [-1, 1]; cube is
@@ -462,9 +254,8 @@ func divideBy(next, cnt []float64) {
 	}
 }
 
-// flatMinMax returns the exact min and max of xs (chunk-free serial
-// scan; min/max carry no association sensitivity, so this matches
-// rescaleFlat's chunked scan bit for bit).
+// flatMinMax returns the exact min and max of xs (min/max carry no
+// association sensitivity, so per-shard extrema combine exactly).
 func flatMinMax(xs []float64) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for _, x := range xs {

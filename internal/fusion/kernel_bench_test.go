@@ -17,6 +17,11 @@ import (
 // ReportAllocs pins the steady-state zero-allocation property at the
 // kernel level.
 
+// newVoteSpace allocates a zeroed vote space for the problem.
+func newVoteSpace(p *Problem) voteSpace {
+	return voteSpace{flat: make([]float64, p.NumBuckets()), off: p.BucketOff}
+}
+
 // benchKernelProblem builds a mid-sized conflict-heavy problem (claims
 // cluster into several buckets per item) without a testing.T, sized so a
 // full kernel pass is measurable but a -benchtime=3x CI run stays cheap.

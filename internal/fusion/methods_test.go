@@ -209,7 +209,7 @@ func TestPooledInvestUnbounded(t *testing.T) {
 }
 
 // filterProblem must preserve bucket/rep structure minus the ignored
-// sources, and runWithKnownGroups must map choices back correctly.
+// sources, and the known-groups run must map choices back correctly.
 func TestFilterProblem(t *testing.T) {
 	sc := honestMajorityScenario(t)
 	p := Build(sc.ds, sc.snap, nil, BuildOptions{NeedSimilarity: true, NeedFormat: true})

@@ -2,16 +2,16 @@ package fusion
 
 import "truthdiscovery/internal/parallel"
 
-// This file holds the per-run allocation pool of the iteration loops.
-// Every method allocates its scratch once in Run, before the round loop,
-// and reuses it every round, so the warm steady state performs no heap
-// allocation on the serial path (asserted by alloc_test.go). The two
-// building blocks:
+// This file holds the per-run allocation pool of the round executor
+// (dist.go). Every executor allocates its scratch once, before the first
+// round, and reuses it every round, so the warm steady state performs no
+// heap allocation on the serial path (asserted by alloc_test.go). The
+// two building blocks:
 //
-//   - voteSpace: the flat per-(item, bucket) score vector all sixteen
-//     methods write, laid out by Problem.BucketOff. choose, the
-//     2-/3-Estimates rescale phases and the ACCU posteriors read the flat
-//     form directly — no jagged [][]float64 and no per-round copy-backs.
+//   - voteSpace: the flat per-(item, bucket) score vector the methods
+//     write, laid out by a shard's bucket offsets. The choice of answers,
+//     the 2-/3-Estimates rescales and the fold kernels read the flat form
+//     directly — no jagged [][]float64 and no per-round copy-backs.
 //   - workerRows: one private per-item temporary row per parallel worker
 //     (Cosine's cubic-mass vector, TruthFinder's raw scores, the ACCU
 //     similarity boost), threaded through parallel.ForWorker.
@@ -21,11 +21,6 @@ import "truthdiscovery/internal/parallel"
 type voteSpace struct {
 	flat []float64
 	off  []int32
-}
-
-// newVoteSpace allocates a zeroed vote space for the problem.
-func newVoteSpace(p *Problem) voteSpace {
-	return voteSpace{flat: make([]float64, p.NumBuckets()), off: p.BucketOff}
 }
 
 // row returns item i's score span (len(Items[i].Buckets) entries).
@@ -57,13 +52,9 @@ type workerRows struct {
 	rows    [][]float64
 }
 
-func newWorkerRows(p *Problem, parallelism int) workerRows {
-	return newWorkerRowsSize(p.maxBuckets, parallelism)
-}
-
-// newWorkerRowsSize is newWorkerRows for callers that know the row width
-// without holding a Problem (the sharded engine sizes per-shard temps
-// from recorded metadata while arenas may be evicted).
+// newWorkerRowsSize allocates rows of maxBuckets floats for the workers
+// of the given parallelism. The executor sizes per-shard temps from the
+// parts' recorded metadata, since arenas may be evicted.
 func newWorkerRowsSize(maxBuckets, parallelism int) workerRows {
 	w := parallel.Workers(parallelism)
 	stride := (maxBuckets + 7) &^ 7

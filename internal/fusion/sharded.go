@@ -20,16 +20,17 @@ import (
 // every shard's arena is resident, or sequentially under a memory budget
 // that keeps at most MaxResident arenas alive — and the per-source trust
 // reduction folds the shards in order, which is ascending global item
-// order: the exact floating-point association the flat engine uses. The
+// order: the same floating-point association at every shard count. The
 // methods' rounds are the round protocol's (dist.go), run on one
-// in-process executor over this shard set. The result is bit-identical
-// to the unsharded path at any shard count: same answers, same trust
-// vectors, same posteriors, same round counts (asserted by
-// sharded_test.go for all sixteen methods).
+// in-process executor over this shard set, so the result is bit-identical
+// at any shard count: same answers, same trust vectors, same posteriors,
+// same round counts (asserted by sharded_test.go for all sixteen methods
+// and the extensions).
 //
 // One shard is the flat layout: the part is the snapshot and the built
 // Problem themselves, and every per-part structure aliases the problem's
-// own, so nothing is copied.
+// own, so nothing is copied. Method.Run wraps its Problem the same way
+// (onePart).
 
 // shardPart is one shard's slot in a ShardedProblem: the shard snapshot,
 // the (possibly evicted) problem arena, and the stable per-shard
@@ -229,8 +230,8 @@ func (sp *ShardedProblem) finishAssembly() {
 // global item order, exactly as assignCats does on a flat problem, and
 // returns the category count with each shard's per-item categories. One
 // shard's own numbering is already the global one. Parts without
-// category data (filterProblem output carries none, matching the flat
-// known-groups path) yield no categories.
+// category data (filterProblem output carries none) yield no
+// categories.
 func (sp *ShardedProblem) globalCats() (int, [][]int32) {
 	cats := make([][]int32, len(sp.parts))
 	for k, pt := range sp.parts {
@@ -298,8 +299,7 @@ func (sp *ShardedProblem) release(k int) {
 // phases write only disjoint per-shard state) before the fold. Budget
 // mode: shards are loaded, phased, folded and released strictly in
 // shard order. Either way the fold visits items in shard order, which is
-// global item order — exactly the order the flat engine's trust loops
-// use.
+// global item order, at every layout.
 func (sp *ShardedProblem) sweep(parallelism int,
 	phase func(k int, p *Problem, par int),
 	fold func(k int, p *Problem, i, g int)) {
@@ -421,9 +421,9 @@ func problemArenaBytes(p *Problem) int64 {
 }
 
 // FuseSharded builds the sharded problem for the snapshot and runs the
-// method over it, producing a Result bit-identical to m.Run on the flat
-// Build of the same snapshot: same answers, trust, posteriors and round
-// counts. sources follows Build's convention (nil = all); maxResident
+// method over it, producing a Result bit-identical to m.Run on the
+// one-problem Build of the same snapshot: same answers, trust,
+// posteriors and round counts. sources follows Build's convention (nil = all); maxResident
 // follows BuildSharded's.
 func FuseSharded(ds *model.Dataset, snap *model.Snapshot, sources []model.SourceID,
 	spec model.ShardSpec, m Method, opts Options, maxResident int) (*Result, *ShardedProblem, error) {

@@ -10,8 +10,8 @@ import (
 // its round program (dist.go) on one in-process executor spanning all
 // shards; the known-groups filter and the Ensemble vote compose whole
 // runs. The sixteen paper methods and the Section 5 extensions are all
-// supported; results are bit-identical to m.Run on the equivalent flat
-// problem.
+// supported, and the result is the same at any shard count and memory
+// budget.
 func (sp *ShardedProblem) Run(m Method, opts Options) (*Result, error) {
 	start := time.Now()
 	var res *Result
@@ -36,10 +36,45 @@ func (sp *ShardedProblem) Run(m Method, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// knownGroupsSharded mirrors runWithKnownGroups: every known copier (but
-// each group's first member) is filtered out of every shard, the
-// ACCUFORMAT program runs on the filtered shard set, and the choices are
-// mapped back to the unfiltered bucket indexing shard by shard.
+// onePart wraps p as a one-part ShardedProblem that aliases it: the part
+// is p itself, pinned resident, and every per-part structure shares p's
+// own, so nothing is copied. The wrap has no snapshot or dataset: it
+// runs rounds but is never advanced or rebuilt.
+func onePart(p *Problem) *ShardedProblem {
+	w := &struct {
+		sp    ShardedProblem
+		pt    shardPart
+		parts [1]*shardPart
+	}{}
+	w.pt = shardPart{resident: true, p: p}
+	recordPart(&w.pt, p)
+	w.parts[0] = &w.pt
+	w.sp = ShardedProblem{
+		Spec:      model.ShardSpec{Shards: 1},
+		SourceIDs: p.SourceIDs,
+		NumAttrs:  p.NumAttrs,
+		parts:     w.parts[:],
+	}
+	w.sp.finishAssembly()
+	return &w.sp
+}
+
+// runOnePart is Method.Run for every method but Vote: the method's
+// round program on the executor over p wrapped as one part.
+func runOnePart(p *Problem, m Method, opts Options) *Result {
+	res, err := onePart(p).Run(m, opts)
+	if err != nil {
+		// Every method has a round program, and an in-process run has no
+		// remote peer to fail.
+		panic(err)
+	}
+	return res
+}
+
+// knownGroupsSharded is ACCUCOPY with known copying groups: every known
+// copier (but each group's first member) is filtered out of every shard,
+// the ACCUFORMAT program runs on the filtered shard set, and the choices
+// are mapped back to the unfiltered bucket indexing shard by shard.
 func knownGroupsSharded(sp *ShardedProblem, opts Options) (*Result, error) {
 	ignore := make([]bool, len(sp.SourceIDs))
 	indexOf := make(map[model.SourceID]int, len(sp.SourceIDs))
@@ -97,7 +132,9 @@ func knownGroupsSharded(sp *ShardedProblem, opts Options) (*Result, error) {
 
 // withFilter derives the source-filtered shard set used by the
 // known-groups path: same spec, snapshots and residency policy, with
-// filterProblem applied to every (re)build.
+// filterProblem applied to every part's problem — the resident one in
+// place, an evicted one rebuilt through load — and to every later
+// rebuild.
 func (sp *ShardedProblem) withFilter(ignore []bool) *ShardedProblem {
 	out := &ShardedProblem{
 		Spec:        sp.Spec,
@@ -108,7 +145,8 @@ func (sp *ShardedProblem) withFilter(ignore []bool) *ShardedProblem {
 		needs:       sp.needs,
 	}
 	for k, pt := range sp.parts {
-		p := filterProblem(Build(sp.ds, pt.snap, sp.SourceIDs, sp.needs), ignore)
+		p := filterProblem(sp.load(k), ignore)
+		sp.release(k)
 		npt := &shardPart{snap: pt.snap, filter: ignore}
 		recordPart(npt, p)
 		npt.resident = sp.MaxResident <= 0 || k < sp.MaxResident
@@ -121,8 +159,8 @@ func (sp *ShardedProblem) withFilter(ignore []bool) *ShardedProblem {
 	return out
 }
 
-// ensembleSharded mirrors Ensemble.Run: every member runs sharded and
-// the per-item majority vote walks the shard set once.
+// ensembleSharded is the Ensemble vote: every member runs on the shard
+// set, and the per-item majority vote walks it once.
 func ensembleSharded(sp *ShardedProblem, e Ensemble, opts Options) (*Result, error) {
 	var results []*Result
 	rounds := 0

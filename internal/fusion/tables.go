@@ -13,17 +13,17 @@ import "math"
 // Bit-identity is preserved by construction: a table entry is the exact
 // float64 the kernel used to compute inline (log/pow of identical
 // operands is deterministic), and the kernels keep the original
-// operation shapes and accumulation order. The golden, parallel,
-// incremental, sharded and distributed equivalence suites assert this,
-// and tables_test.go pins each table kernel against its direct form.
+// operation shapes and accumulation order. The frozen digests
+// (digest_test.go) and the parallel, incremental, sharded and
+// distributed equivalence suites assert this, and tables_test.go pins
+// each table kernel against its direct form.
 //
 // All tables are allocated once per run (per-run scratch) and refilled
 // in place each round, so warm rounds stay allocation-free
 // (alloc_test.go).
 
 // logNFalse is the shared ln(N) vote prior of the non-popularity ACCU
-// configs — the single owner of the computation every execution path
-// (flat, warm, sharded, distributed) used to repeat.
+// configs.
 func logNFalse(opts Options) float64 { return math.Log(opts.NFalse) }
 
 // accuTables is the ACCU family's per-round trust table: the log-odds

@@ -1,21 +1,13 @@
 package fusion
 
-import (
-	"math"
-	"time"
-
-	"truthdiscovery/internal/parallel"
-)
+import "math"
 
 // The Web-link based methods (Table 6): HUB, AVGLOG, INVEST, POOLEDINVEST.
 // They descend from authority analysis on hyperlink graphs — a value's vote
 // is the trust mass of its providers, a source's trust the vote mass of its
 // values — and differ in how the mass is averaged, invested and returned.
-//
-// Each Run allocates its vote space, double-buffered trust vector and
-// per-source accumulators once, hoists the per-item vote closure out of
-// the round loop, and reuses everything every round — warm rounds on the
-// serial path allocate nothing.
+// Each method's round is a per-item kernel below plus a tail in the
+// round protocol's vector loop (runVector, dist.go).
 
 // Hub adapts Kleinberg's hubs-and-authorities to fusion: vote(v) = sum of
 // provider trust; trust(s) = sum of its values' votes; both max-normalised
@@ -29,40 +21,7 @@ func (Hub) Name() string { return "Hub" }
 func (Hub) Needs() BuildOptions { return BuildOptions{} }
 
 // Run implements Method.
-func (Hub) Run(p *Problem, opts Options) *Result {
-	opts = opts.withDefaults()
-	start := time.Now()
-	n := len(p.SourceIDs)
-	trust := initTrust(n, opts.startTrust(), 1)
-	next := make([]float64, n)
-	votes := newVoteSpace(p)
-	votePhase := trustMassVotes(p, &trust, votes)
-
-	res := &Result{Method: "Hub"}
-	for round := 1; ; round++ {
-		res.Rounds = round
-		parallel.For(len(p.Items), opts.Parallelism, votePhase)
-		if opts.InputTrust != nil {
-			res.Converged = true
-			break
-		}
-		clear(next)
-		for i := range p.Items {
-			voteMassFold(&p.Items[i], votes.row(i), next)
-		}
-		normalizeMax(next)
-		delta := maxDelta(trust, next)
-		trust, next = next, trust
-		if delta < opts.Epsilon || round >= opts.MaxRounds {
-			res.Converged = delta < opts.Epsilon
-			break
-		}
-	}
-	res.Trust = trust
-	res.Chosen = choose(p, votes)
-	res.Elapsed = time.Since(start)
-	return res
-}
+func (Hub) Run(p *Problem, opts Options) *Result { return runOnePart(p, Hub{}, opts) }
 
 // AvgLog tempers HUB's bias toward prolific sources: trust is the log of
 // the claim count times the average (not the sum) of the value votes.
@@ -75,43 +34,7 @@ func (AvgLog) Name() string { return "AvgLog" }
 func (AvgLog) Needs() BuildOptions { return BuildOptions{} }
 
 // Run implements Method.
-func (AvgLog) Run(p *Problem, opts Options) *Result {
-	opts = opts.withDefaults()
-	start := time.Now()
-	n := len(p.SourceIDs)
-	trust := initTrust(n, opts.startTrust(), 1)
-	next := make([]float64, n)
-	mass := make([]float64, n)
-	logc := logClaimCounts(p.ClaimsPerSource) // claim counts never change across rounds
-	votes := newVoteSpace(p)
-	votePhase := trustMassVotes(p, &trust, votes)
-
-	res := &Result{Method: "AvgLog"}
-	for round := 1; ; round++ {
-		res.Rounds = round
-		parallel.For(len(p.Items), opts.Parallelism, votePhase)
-		if opts.InputTrust != nil {
-			res.Converged = true
-			break
-		}
-		clear(mass)
-		for i := range p.Items {
-			voteMassFold(&p.Items[i], votes.row(i), mass)
-		}
-		avgLogTail(p.ClaimsPerSource, logc, mass, next)
-		normalizeMax(next)
-		delta := maxDelta(trust, next)
-		trust, next = next, trust
-		if delta < opts.Epsilon || round >= opts.MaxRounds {
-			res.Converged = delta < opts.Epsilon
-			break
-		}
-	}
-	res.Trust = trust
-	res.Chosen = choose(p, votes)
-	res.Elapsed = time.Since(start)
-	return res
-}
+func (AvgLog) Run(p *Problem, opts Options) *Result { return runOnePart(p, AvgLog{}, opts) }
 
 // investExponent is the non-linear vote growth of INVEST/POOLEDINVEST
 // (Pasternack and Roth use g = 1.2).
@@ -129,9 +52,7 @@ func (Invest) Name() string { return "Invest" }
 func (Invest) Needs() BuildOptions { return BuildOptions{} }
 
 // Run implements Method.
-func (Invest) Run(p *Problem, opts Options) *Result {
-	return runInvest(p, opts, false)
-}
+func (Invest) Run(p *Problem, opts Options) *Result { return runOnePart(p, Invest{}, opts) }
 
 // PooledInvest rescales each item's votes so they sum to the item's total
 // investment, which removes the need for normalisation.
@@ -145,79 +66,14 @@ func (PooledInvest) Needs() BuildOptions { return BuildOptions{} }
 
 // Run implements Method.
 func (PooledInvest) Run(p *Problem, opts Options) *Result {
-	return runInvest(p, opts, true)
+	return runOnePart(p, PooledInvest{}, opts)
 }
 
-func runInvest(p *Problem, opts Options, pooled bool) *Result {
-	opts = opts.withDefaults()
-	start := time.Now()
-	n := len(p.SourceIDs)
-	trust := initTrust(n, opts.startTrust(), 1)
-	next := make([]float64, n)
-	shares := make([]float64, n) // per-round trust/claims table
-	votes := newVoteSpace(p)
-	invested := newVoteSpace(p) // per item per bucket
-
-	// Per-item investment phase: disjoint writes to invested and votes
-	// rows, bit-identical at any parallelism.
-	investPhase := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			investItem(&p.Items[i], shares, votes.row(i), invested.row(i), pooled)
-		}
-	}
-
-	name := "Invest"
-	if pooled {
-		name = "PooledInvest"
-	}
-	res := &Result{Method: name}
-	for round := 1; ; round++ {
-		res.Rounds = round
-		investShares(shares, trust, p.ClaimsPerSource)
-		parallel.For(len(p.Items), opts.Parallelism, investPhase)
-		if opts.InputTrust != nil {
-			res.Converged = true
-			break
-		}
-		clear(next)
-		for i := range p.Items {
-			investFold(&p.Items[i], shares, votes.row(i), invested.row(i), next)
-		}
-		if !pooled {
-			normalizeMax(next)
-		}
-		delta := maxDelta(trust, next)
-		trust, next = next, trust
-		if delta < opts.Epsilon || round >= opts.MaxRounds {
-			res.Converged = delta < opts.Epsilon
-			break
-		}
-	}
-	res.Trust = trust
-	res.Chosen = choose(p, votes)
-	res.Elapsed = time.Since(start)
-	return res
-}
-
-// trustMassVotes builds the shared HUB/AVGLOG vote phase — vote(i, b) =
-// sum of provider trust — as a closure hoisted out of the round loop. It
-// reads the caller's trust pointer so the round loop's double-buffer swap
-// stays visible. Item rows are written disjointly, so the phase fans out
-// bit-identically at any parallelism.
-func trustMassVotes(p *Problem, trust *[]float64, votes voteSpace) func(lo, hi int) {
-	return func(lo, hi int) {
-		t := *trust
-		for i := lo; i < hi; i++ {
-			voteMassItem(&p.Items[i], t, votes.row(i))
-		}
-	}
-}
-
-// The per-item kernels of the Web-link family. Each is shared verbatim
-// by the flat round loops above and the round protocol's executor
-// (dist.go), which runs every sharded and distributed round, so the
-// paths perform the exact same floating-point operations in the same
-// per-item order — the root of the bit-identity contract.
+// The per-item kernels of the Web-link family. The round protocol's
+// executor (dist.go) runs them on every path — Method.Run, every shard
+// layout, every advance and every worker — so all paths perform the
+// exact same floating-point operations in the same per-item order: the
+// root of the bit-identity contract.
 
 // voteMassItem writes one item's votes: vote(b) = sum of provider trust.
 func voteMassItem(it *ProblemItem, trust []float64, row []float64) {
@@ -312,13 +168,4 @@ func initTrust(n int, input []float64, def float64) []float64 {
 		t[i] = def
 	}
 	return t
-}
-
-// choose picks the winning bucket of every item from the flat vote space.
-func choose(p *Problem, votes voteSpace) []int32 {
-	chosen := make([]int32, len(p.Items))
-	for i := range p.Items {
-		chosen[i] = argmax32(votes.row(i))
-	}
-	return chosen
 }

@@ -263,6 +263,39 @@ func TestIngestBackpressure(t *testing.T) {
 	}
 }
 
+// TestClaimsBodyLimit: a claims body one byte past maxClaimsBody is
+// refused with an enveloped 413 and nothing is enqueued; a body at the
+// cap is still accepted. Whitespace inside the JSON object makes the
+// decoder read the body to its last byte.
+func TestClaimsBodyLimit(t *testing.T) {
+	_, ing, _, ts := armIngest(t, "Vote", IngestConfig{MaxBatch: 1 << 20})
+	head := `{"claims":[{"source":"src0","object":"obj00","attribute":"price","value":"7"}]`
+	body := func(size int) string { return head + strings.Repeat(" ", size-len(head)-1) + "}" }
+
+	resp := postClaims(t, ts, body(maxClaimsBody+1))
+	var env envelope
+	decodeBody(t, resp, &env)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Error.Code != "body_too_large" {
+		t.Fatalf("oversized body: status %d code %q, want 413 body_too_large", resp.StatusCode, env.Error.Code)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+		t.Fatalf("413 Content-Type %q, want application/json", ct)
+	}
+	if got := ing.Stats()["pending"].(int); got != 0 {
+		t.Fatalf("refused body left %d pending", got)
+	}
+
+	resp = postClaims(t, ts, body(maxClaimsBody))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("body at the cap: status %d, want 202", resp.StatusCode)
+	}
+	if got := ing.Stats()["pending"].(int); got != 1 {
+		t.Fatalf("pending = %d, want 1", got)
+	}
+}
+
 // TestIngestLastWins: two ops on the same (item, source) key in one
 // window coalesce to the later one.
 func TestIngestLastWins(t *testing.T) {

@@ -541,6 +541,11 @@ func wantsWait(r *http.Request) bool {
 	return strings.Contains(strings.ToLower(r.Header.Get("Prefer")), "wait")
 }
 
+// maxClaimsBody caps a POST /v1/claims body at 8 MiB: the default
+// pending bound (2,048 ops) at 4 KiB per op. A larger body is refused
+// with 413 while it is read, before the decoder holds it in memory.
+const maxClaimsBody = 8 << 20
+
 // handleClaims is the live write path: a batch of claim upserts and
 // retractions, validated and enqueued for the next ingest flush. The
 // whole batch is accepted or rejected — nothing is partially enqueued.
@@ -559,9 +564,15 @@ func (s *Server) handleClaims(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Claims []ClaimOp `json:"claims"`
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxClaimsBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+				"request body exceeds "+strconv.Itoa(maxClaimsBody)+" bytes")
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad_json", "request body: "+err.Error())
 		return
 	}

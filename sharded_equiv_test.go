@@ -169,6 +169,23 @@ func TestPublicFuseSharded(t *testing.T) {
 	if !reflect.DeepEqual(goldGot, goldWant) {
 		t.Fatal("sharded Gold answers differ from Fuse")
 	}
+	// One shard with Gold and known copy groups answers exactly as the
+	// problem-level pipeline: Build, SampleAccuracy, Method.Run.
+	groups := [][]SourceID{{w.fused[0], w.fused[1], w.fused[2]}, {w.fused[5], w.fused[6]}}
+	m, _ := fusion.ByName("AccuCopy")
+	p := fusion.Build(w.ds, w.snap, w.fused, m.Needs())
+	direct := m.Run(p, fusion.Options{
+		KnownGroups:    groups,
+		InputTrust:     m.TrustScale(fusion.SampleAccuracy(w.ds, w.snap, p, w.gld)),
+		InputAttrTrust: fusion.SampleAttrAccuracy(w.ds, w.snap, p, w.gld),
+	})
+	copyGot, err := Fuse(w.ds, w.snap, "AccuCopy", FuseOptions{Sources: w.fused, Gold: w.gld, KnownCopyGroups: groups})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(copyGot, fusion.AnswersFor(w.ds, p, direct)) {
+		t.Fatal("one-shard Gold + KnownCopyGroups answers differ from the problem-level pipeline")
+	}
 	// An empty world fuses to empty answers on both engines (sharding is
 	// purely an execution choice, including at the boundary).
 	eb := NewBuilder("empty")

@@ -258,11 +258,11 @@ type FuseOptions struct {
 // Fuse resolves conflicts in a snapshot with the named method and returns
 // one answer per claimed item, in item order.
 //
-// With more than one shard (FuseOptions.Shards > 1, or the planner's
-// arena budget) the items are fused over range shards with one
-// deterministic cross-shard trust merge: answers are bit-identical, so the
-// layout is purely an execution choice — shard-level concurrency, or a
-// bounded memory ceiling via MaxResidentShards — and never changes the
+// The items are fused over range shards (one unless FuseOptions.Shards
+// or the planner's arena budget asks for more) with one deterministic
+// cross-shard trust merge: answers are bit-identical at any layout, so
+// the layout is purely an execution choice — shard-level concurrency, or
+// a bounded memory ceiling via MaxResidentShards — and never changes the
 // result.
 func Fuse(ds *Dataset, snap *Snapshot, method string, opts FuseOptions) ([]Answer, error) {
 	if err := opts.Validate(); err != nil {
@@ -273,33 +273,22 @@ func Fuse(ds *Dataset, snap *Snapshot, method string, opts FuseOptions) ([]Answe
 		return nil, fmt.Errorf("truthdiscovery: unknown fusion method %q", method)
 	}
 	fo := fusion.Options{KnownGroups: opts.KnownCopyGroups, Parallelism: opts.Parallelism}
-	spec, maxResident := fusion.ResolveLayout(snap, opts.Shards, opts.MaxResidentShards, opts.Planner)
-	if spec.Shards > 1 {
-		if opts.Gold != nil {
-			// Roster-based sampling: no flat Problem is built here, so the
-			// MaxResidentShards memory ceiling holds on the Gold path too.
-			roster := opts.Sources
-			if roster == nil {
-				roster = fusion.DefaultRoster(ds)
-			}
-			fo.InputTrust = m.TrustScale(fusion.SampleAccuracySources(ds, snap, roster, opts.Gold))
-			fo.InputAttrTrust = fusion.SampleAttrAccuracySources(ds, snap, roster, opts.Gold)
-		}
-		res, sp, err := fusion.FuseSharded(ds, snap, opts.Sources, spec, m, fo, maxResident)
-		if err != nil {
-			return nil, err
-		}
-		return fusion.AnswersForSharded(ds, sp, res), nil
-	}
-	needs := m.Needs()
-	needs.Parallelism = opts.Parallelism
-	p := fusion.Build(ds, snap, opts.Sources, needs)
 	if opts.Gold != nil {
-		fo.InputTrust = m.TrustScale(fusion.SampleAccuracy(ds, snap, p, opts.Gold))
-		fo.InputAttrTrust = fusion.SampleAttrAccuracy(ds, snap, p, opts.Gold)
+		// Sampled by roster, so no Problem is built here and the
+		// MaxResidentShards memory ceiling holds on the Gold path too.
+		roster := opts.Sources
+		if roster == nil {
+			roster = fusion.DefaultRoster(ds)
+		}
+		fo.InputTrust = m.TrustScale(fusion.SampleAccuracySources(ds, snap, roster, opts.Gold))
+		fo.InputAttrTrust = fusion.SampleAttrAccuracySources(ds, snap, roster, opts.Gold)
 	}
-	res := m.Run(p, fo)
-	return fusion.AnswersFor(ds, p, res), nil
+	spec, maxResident := fusion.ResolveLayout(snap, opts.Shards, opts.MaxResidentShards, opts.Planner)
+	res, sp, err := fusion.FuseSharded(ds, snap, opts.Sources, spec, m, fo, maxResident)
+	if err != nil {
+		return nil, err
+	}
+	return fusion.AnswersForSharded(ds, sp, res), nil
 }
 
 // EvaluateAgainst scores fused answers against a gold standard, returning
