@@ -65,8 +65,8 @@ func detectCopies(sp *ShardedProblem, chosen []int32, probs [][]float64, acc []f
 
 // buildObservation converts one item's buckets plus the current truth
 // assignment into one copy-detection observation. chosenB is the item's
-// winning bucket; prow (optional) its current per-bucket truth
-// probabilities. A pure per-item function.
+// winning bucket; prow its current per-bucket truth probabilities. A
+// pure per-item function.
 func buildObservation(it *ProblemItem, chosenB int32, prow []float64, opts Options, out *copydetect.Observation) {
 	o := copydetect.Observation{
 		Sources:   make([]int32, 0, it.Providers),
@@ -74,9 +74,7 @@ func buildObservation(it *ProblemItem, chosenB int32, prow []float64, opts Optio
 		Truthy:    make([]bool, 0, it.Providers),
 		Pop:       make([]float64, 0, it.Providers),
 		Contested: make([]bool, 0, it.Providers),
-	}
-	if prow != nil {
-		o.FalseW = make([]float64, 0, it.Providers)
+		FalseW:    make([]float64, 0, it.Providers),
 	}
 	truthRep := it.Buckets[chosenB].Rep
 	chosenSupport := len(it.Buckets[chosenB].Sources)
@@ -102,9 +100,7 @@ func buildObservation(it *ProblemItem, chosenB int32, prow []float64, opts Optio
 			o.Truthy = append(o.Truthy, truthy)
 			o.Pop = append(o.Pop, pop)
 			o.Contested = append(o.Contested, contested)
-			if prow != nil {
-				o.FalseW = append(o.FalseW, 1-prow[b])
-			}
+			o.FalseW = append(o.FalseW, 1-prow[b])
 		}
 	}
 	*out = o

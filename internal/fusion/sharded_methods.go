@@ -39,7 +39,9 @@ func (sp *ShardedProblem) Run(m Method, opts Options) (*Result, error) {
 // onePart wraps p as a one-part ShardedProblem that aliases it: the part
 // is p itself, pinned resident, and every per-part structure shares p's
 // own, so nothing is copied. The wrap has no snapshot or dataset: it
-// runs rounds but is never advanced or rebuilt.
+// runs rounds but is never advanced or rebuilt. Every Method.Run pays
+// for the wrap, so the wrapper, its part and the part list share one
+// allocation.
 func onePart(p *Problem) *ShardedProblem {
 	w := &struct {
 		sp    ShardedProblem
