@@ -356,7 +356,7 @@ func newExec(sp *ShardedProblem, m Method, opts Options, cps []int, dirty [][]in
 		}
 	case dkAccu:
 		e.temps = sp.newPartTemps(opts.Parallelism)
-		e.keySetup()
+		e.resolveKeys()
 		e.tables = newAccuTables(n, e.numKeys, opts, cfg)
 		if cfg.popularity {
 			e.popTabs = make([]*popTable, len(sp.parts))
@@ -391,10 +391,10 @@ func newExec(sp *ShardedProblem, m Method, opts Options, cps []int, dirty [][]in
 	return e, nil
 }
 
-// keySetup resolves the ACCU trust key space over the shard set: the
+// resolveKeys resolves the ACCU trust key space over the shard set: the
 // global attribute table for the Attr variants, the globally numbered
 // category table for the Cat extension, a single key otherwise.
-func (e *DistExec) keySetup() {
+func (e *DistExec) resolveKeys() {
 	e.keyAt = func(int, *Problem, int) int32 { return 0 }
 	switch {
 	case e.cfg.perAttr:
