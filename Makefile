@@ -21,6 +21,7 @@ race:
 # go test -fuzz takes one target per run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDeltaSplit$$' -fuzztime=10s ./internal/model
+	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotApply$$' -fuzztime=10s ./internal/model
 	$(GO) test -run='^$$' -fuzz='^FuzzBucketize$$' -fuzztime=10s ./internal/value
 	$(GO) test -run='^$$' -fuzz='^FuzzValueString$$' -fuzztime=10s ./internal/value
 	$(GO) test -run='^$$' -fuzz='^FuzzAnswersBody$$' -fuzztime=10s ./internal/serve

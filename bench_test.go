@@ -138,7 +138,7 @@ func BenchmarkStockSnapshotGeneration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := SimulateStock(StockOptions{Seed: 1, Stocks: 200, Days: 1, GoldSymbols: 50})
-		if len(s.Dataset.Snapshots[0].Claims) == 0 {
+		if s.Dataset.Snapshots[0].NumClaims() == 0 {
 			b.Fatal("no claims")
 		}
 	}
@@ -149,7 +149,7 @@ func BenchmarkFlightSnapshotGeneration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := SimulateFlight(FlightOptions{Seed: 1, Flights: 300, Days: 1, GoldFlights: 60})
-		if len(s.Dataset.Snapshots[0].Claims) == 0 {
+		if s.Dataset.Snapshots[0].NumClaims() == 0 {
 			b.Fatal("no claims")
 		}
 	}

@@ -39,7 +39,7 @@ func calibrateStock(seed int64) {
 	gld := gold.ForGenerated(gen, snap)
 
 	fmt.Printf("claims=%d items=%d goldItems=%d localAttrs=%d globalAttrs=%d\n",
-		len(snap.Claims), len(ds.Items), gld.Len(), gen.LocalAttrCount(), len(ds.Attrs))
+		snap.NumClaims(), len(ds.Items), gld.Len(), gen.LocalAttrCount(), len(ds.Attrs))
 
 	red := quality.Redundancy(ds, snap, nil)
 	fmt.Printf("meanItemRedundancy=%.3f (paper .66)\n", red.MeanItemRedundancy)
@@ -106,7 +106,7 @@ func calibrateFlight(seed int64) {
 	gld := gold.ForGenerated(gen, snap)
 
 	fmt.Printf("claims=%d items=%d goldItems=%d localAttrs=%d globalAttrs=%d\n",
-		len(snap.Claims), len(ds.Items), gld.Len(), gen.LocalAttrCount(), len(ds.Attrs))
+		snap.NumClaims(), len(ds.Items), gld.Len(), gen.LocalAttrCount(), len(ds.Attrs))
 
 	red := quality.Redundancy(ds, snap, gen.FusedSources())
 	fmt.Printf("meanItemRedundancy=%.3f (paper .32)\n", red.MeanItemRedundancy)

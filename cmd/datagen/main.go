@@ -80,8 +80,7 @@ func main() {
 		return
 	}
 	snap := gen.Snapshot(*day)
-	for i := range snap.Claims {
-		c := &snap.Claims[i]
+	for _, c := range snap.Claims {
 		writeRow(ds.Sources[c.Source].Name, c.Item, c.Val.String())
 	}
 }

@@ -68,8 +68,7 @@ func WriteClaimsCSV(w io.Writer, ds *Dataset, snap *Snapshot) error {
 	if err := cw.Write([]string{"source", "object", "attribute", "kind", "value"}); err != nil {
 		return err
 	}
-	for i := range snap.Claims {
-		c := &snap.Claims[i]
+	for _, c := range snap.Claims {
 		it := ds.Items[c.Item]
 		err := cw.Write([]string{
 			ds.Sources[c.Source].Name,

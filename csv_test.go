@@ -19,9 +19,9 @@ func TestLoadClaimsCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds.Sources) != 3 || len(ds.Items) != 3 || len(snap.Claims) != 5 {
+	if len(ds.Sources) != 3 || len(ds.Items) != 3 || snap.NumClaims() != 5 {
 		t.Fatalf("loaded %d sources / %d items / %d claims",
-			len(ds.Sources), len(ds.Items), len(snap.Claims))
+			len(ds.Sources), len(ds.Items), snap.NumClaims())
 	}
 	answers, err := Fuse(ds, snap, "Vote", FuseOptions{})
 	if err != nil {
@@ -71,8 +71,8 @@ func TestClaimsCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reloading written CSV: %v", err)
 	}
-	if len(snap2.Claims) != len(snap.Claims) {
-		t.Fatalf("round trip lost claims: %d vs %d", len(snap2.Claims), len(snap.Claims))
+	if snap2.NumClaims() != snap.NumClaims() {
+		t.Fatalf("round trip lost claims: %d vs %d", snap2.NumClaims(), snap.NumClaims())
 	}
 	if len(ds2.Sources) != len(ds.Sources) || len(ds2.Items) != len(ds.Items) {
 		t.Error("round trip changed the schema")
@@ -89,8 +89,8 @@ func TestWriteSimulatedCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Claims) != len(sim.Dataset.Snapshots[0].Claims) {
-		t.Errorf("claims %d vs %d", len(snap.Claims), len(sim.Dataset.Snapshots[0].Claims))
+	if snap.NumClaims() != sim.Dataset.Snapshots[0].NumClaims() {
+		t.Errorf("claims %d vs %d", snap.NumClaims(), sim.Dataset.Snapshots[0].NumClaims())
 	}
 	if _, err := Fuse(ds, snap, "PopAccu", FuseOptions{}); err != nil {
 		t.Fatal(err)

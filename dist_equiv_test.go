@@ -262,8 +262,9 @@ func TestRoutedIngestWaitBitIdentical(t *testing.T) {
 
 	// Mutations across the claim table — spanning both workers' shards.
 	var ops []serve.ClaimOp
-	for ci := 0; ci < len(snap.Claims) && len(ops) < 120; ci += 5 {
-		c := &snap.Claims[ci]
+	claims := claimList(snap)
+	for ci := 0; ci < len(claims) && len(ops) < 120; ci += 5 {
+		c := &claims[ci]
 		it := ds.Items[c.Item]
 		ops = append(ops, serve.ClaimOp{
 			Source:    ds.Sources[c.Source].Name,

@@ -27,7 +27,7 @@ func main() {
 	gold := sim.Truths[0]
 
 	fmt.Printf("simulated %d sources (%d fused), %d claims, %d copy groups\n\n",
-		len(sim.Dataset.Sources), len(sim.Fused), len(snap.Claims), len(sim.CopyGroups))
+		len(sim.Dataset.Sources), len(sim.Fused), snap.NumClaims(), len(sim.CopyGroups))
 
 	type row struct {
 		name string

@@ -38,7 +38,7 @@ func main() {
 		}
 	}
 	fmt.Printf("simulated %d sources, %d claims; gold standard: %d items\n\n",
-		len(sim.Dataset.Sources), len(snap.Claims), gold.Len())
+		len(sim.Dataset.Sources), snap.NumClaims(), gold.Len())
 
 	fmt.Printf("%-16s %10s %8s\n", "method", "precision", "errors")
 	for _, name := range []string{

@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"slices"
 	"testing"
 
 	"truthdiscovery/internal/model"
@@ -28,30 +29,31 @@ func TestStockDeterminism(t *testing.T) {
 	g2 := NewStock(smallStock(7))
 	s1 := g1.Snapshot(1)
 	s2 := g2.Snapshot(1)
-	if len(s1.Claims) != len(s2.Claims) {
-		t.Fatalf("claim counts differ: %d vs %d", len(s1.Claims), len(s2.Claims))
+	if s1.NumClaims() != s2.NumClaims() {
+		t.Fatalf("claim counts differ: %d vs %d", s1.NumClaims(), s2.NumClaims())
 	}
-	for i := range s1.Claims {
-		if s1.Claims[i] != s2.Claims[i] {
-			t.Fatalf("claim %d differs: %+v vs %+v", i, s1.Claims[i], s2.Claims[i])
+	c1, c2 := claimList(s1), claimList(s2)
+	for i := range c1 {
+		if c1[i] != c2[i] {
+			t.Fatalf("claim %d differs: %+v vs %+v", i, c1[i], c2[i])
 		}
 	}
+}
+
+// claimList collects a snapshot's claims in (item, source) order.
+func claimList(s *model.Snapshot) []model.Claim {
+	out := make([]model.Claim, 0, s.NumClaims())
+	for _, c := range s.Claims {
+		out = append(out, c)
+	}
+	return out
 }
 
 func TestStockSeedSensitivity(t *testing.T) {
 	a := NewStock(smallStock(1)).Snapshot(0)
 	b := NewStock(smallStock(2)).Snapshot(0)
-	if len(a.Claims) == len(b.Claims) {
-		same := true
-		for i := range a.Claims {
-			if a.Claims[i] != b.Claims[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Error("different seeds produced identical data")
-		}
+	if slices.Equal(claimList(a), claimList(b)) {
+		t.Error("different seeds produced identical data")
 	}
 }
 
@@ -64,13 +66,8 @@ func TestStockDayIndependence(t *testing.T) {
 	viaSequence := g1.Snapshot(2)
 	g2 := NewStock(smallStock(3))
 	direct := g2.Snapshot(2)
-	if len(viaSequence.Claims) != len(direct.Claims) {
-		t.Fatal("day generation depends on history")
-	}
-	for i := range direct.Claims {
-		if direct.Claims[i] != viaSequence.Claims[i] {
-			t.Fatal("day 2 claims differ between direct and sequential generation")
-		}
+	if !slices.Equal(claimList(direct), claimList(viaSequence)) {
+		t.Fatal("day 2 claims differ between direct and sequential generation")
 	}
 }
 
@@ -143,8 +140,7 @@ func TestStockClaimsAreValid(t *testing.T) {
 	}
 	// Copied claims must name their origin.
 	copied := 0
-	for i := range snap.Claims {
-		c := &snap.Claims[i]
+	for _, c := range snap.Claims {
 		if c.CopiedFrom != model.NoSource {
 			copied++
 			if g.Profiles()[c.Source].CopyOf != c.CopiedFrom {
@@ -186,13 +182,8 @@ func TestFlightDeterminismAndStructure(t *testing.T) {
 	g1 := NewFlight(smallFlight(5))
 	g2 := NewFlight(smallFlight(5))
 	s1, s2 := g1.Snapshot(1), g2.Snapshot(1)
-	if len(s1.Claims) != len(s2.Claims) {
-		t.Fatal("flight generation not deterministic")
-	}
-	for i := range s1.Claims {
-		if s1.Claims[i] != s2.Claims[i] {
-			t.Fatal("flight claims differ between identical generators")
-		}
+	if !slices.Equal(claimList(s1), claimList(s2)) {
+		t.Fatal("flight claims differ between identical generators")
 	}
 
 	profiles := g1.Profiles()
@@ -221,8 +212,7 @@ func TestAirlineSitesCoverOwnFlightsOnly(t *testing.T) {
 	g := NewFlight(smallFlight(1))
 	ds := g.Dataset()
 	snap := g.Snapshot(0)
-	for i := range snap.Claims {
-		c := &snap.Claims[i]
+	for _, c := range snap.Claims {
 		if int(c.Source) < 3 { // airline sites
 			obj := ds.Objects[ds.Items[c.Item].Object]
 			if obj.Group != ds.Sources[c.Source].Name[:2] {
@@ -236,8 +226,7 @@ func TestAirlineSitesCoverOwnFlightsOnly(t *testing.T) {
 func TestFlightTimesAreValidMinutes(t *testing.T) {
 	g := NewFlight(smallFlight(1))
 	snap := g.Snapshot(0)
-	for i := range snap.Claims {
-		c := &snap.Claims[i]
+	for _, c := range snap.Claims {
 		if c.Val.Kind == value.Time {
 			if c.Val.Num < -600 || c.Val.Num > 2400 {
 				t.Fatalf("implausible time claim: %v", c.Val.Num)

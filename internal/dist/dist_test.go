@@ -442,3 +442,59 @@ func TestWriteRPCUnencodable(t *testing.T) {
 		t.Fatalf("status %d body %q, want a 500 rpcError", rec.Code, rec.Body.String())
 	}
 }
+
+// TestWorkerApplyRejectsBadDelta: a worker owning two shards answers a
+// malformed shard delta with the rpc error body, not a dropped
+// connection, and leaves both shards as they were even though the other
+// shard's delta was valid: the same valid deltas apply afterwards.
+func TestWorkerApplyRejectsBadDelta(t *testing.T) {
+	ds, snaps := world(t, 2)
+	day0, day1 := snaps[0], snaps[1]
+	n := day0.NumItems()
+	spec := model.RangeShards(2, n)
+	m, _ := fusion.ByName("AccuPr")
+	wk, err := NewWorker(WorkerConfig{DS: ds, Snap: day0, Spec: spec, Lo: 0, Hi: 2, Method: m, Fingerprint: "fp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(wk.Handler())
+	t.Cleanup(ts.Close)
+	peer := NewPeerClient(ts.URL)
+
+	dl, err := day0.Diff(day1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := dl.Split(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := model.ItemID(n - 1) // on shard 1
+	for name, bad := range map[string]*model.Delta{
+		"item outside the table": {NumItems: n, Added: []model.Claim{
+			{Source: 0, Item: model.ItemID(n + 5), Val: value.Num(1), CopiedFrom: model.NoSource}}},
+		"stale retraction": {NumItems: n, Retracted: []model.Claim{
+			{Source: 0, Item: last, Val: value.Num(-1), CopiedFrom: model.NoSource}}},
+	} {
+		cps := append([]int(nil), wk.sp.ClaimsPerSource...)
+		_, err := peer.Apply([]*model.Delta{split[0], bad})
+		if err == nil || !strings.Contains(err.Error(), "worker says") {
+			t.Fatalf("%s: apply answered %v, want the worker's rpc error", name, err)
+		}
+		if wk.day != day0.Day || !reflect.DeepEqual(wk.sp.ClaimsPerSource, cps) {
+			t.Fatalf("%s: the failed apply changed the worker", name)
+		}
+	}
+	resp, err := peer.Apply(split)
+	if err != nil {
+		t.Fatalf("the valid deltas no longer apply: %v", err)
+	}
+	want, err := fusion.BuildShardedOwned(ds, day1, nil, spec, m.Needs(), 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Day != day1.Day || !reflect.DeepEqual(resp.CPS, want.ClaimsPerSource) {
+		t.Fatalf("applied worker at day %d with claim counts %v, want day %d and %v",
+			resp.Day, resp.CPS, day1.Day, want.ClaimsPerSource)
+	}
+}

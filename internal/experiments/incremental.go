@@ -59,7 +59,7 @@ func incrementalDomain(r *report.Report, d *Domain) bool {
 		}
 		deltas[day-1] = delta
 		ops += delta.Size()
-		claims += len(snaps[day].Claims)
+		claims += snaps[day].NumClaims()
 	}
 
 	t := r.NewTable(fmt.Sprintf("%s (%d days)", d.Name, d.Days),

@@ -103,33 +103,40 @@ func BuildShardedOwned(ds *model.Dataset, snap *model.Snapshot, sources []model.
 // ApplyShardDeltas advances the shard set one delta step: deltas[k] is
 // shard k's slice of a Delta.Split (nil or empty deltas leave the shard's
 // claims untouched, carrying its arena forward; non-empty ones rebuild
-// the shard problem deterministically). The cross-shard structures are
-// re-derived afterwards, so the next run sees the updated snapshot — the
-// distributed ingest path re-runs fusion in full, which stays
-// bit-identical to a fresh fuse of the advanced snapshot.
+// the shard problem deterministically). Every delta is applied before
+// any shard changes, so a delta that fails leaves the whole set as it
+// was. The cross-shard structures are re-derived afterwards, so the next
+// run sees the updated snapshot — the distributed ingest path re-runs
+// fusion in full, which stays bit-identical to a fresh fuse of the
+// advanced snapshot.
 func (sp *ShardedProblem) ApplyShardDeltas(deltas []*model.Delta) error {
 	if len(deltas) != len(sp.parts) {
 		return fmt.Errorf("fusion: %d shard deltas for %d owned shards", len(deltas), len(sp.parts))
 	}
+	snaps := make([]*model.Snapshot, len(deltas))
 	for k, dl := range deltas {
 		if dl == nil {
 			continue
 		}
-		pt := sp.parts[k]
-		ns, err := pt.snap.Apply(dl)
+		ns, err := sp.parts[k].snap.Apply(dl)
 		if err != nil {
 			return fmt.Errorf("fusion: shard %d delta: %w", k, err)
 		}
-		if dl.Empty() {
-			npt := pt.carryForward()
+		snaps[k] = ns
+	}
+	for k, ns := range snaps {
+		switch {
+		case ns == nil:
+		case deltas[k].Empty():
+			npt := sp.parts[k].carryForward()
 			npt.snap = ns
 			sp.parts[k] = npt
-			continue
+		default:
+			p := Build(sp.ds, ns, sp.SourceIDs, sp.needs)
+			npt := &shardPart{snap: ns, resident: true, p: p}
+			recordPart(npt, p)
+			sp.parts[k] = npt
 		}
-		p := Build(sp.ds, ns, sp.SourceIDs, sp.needs)
-		npt := &shardPart{snap: ns, resident: true, p: p}
-		recordPart(npt, p)
-		sp.parts[k] = npt
 	}
 	sp.finishAssembly()
 	return nil

@@ -3,9 +3,11 @@ package fusion
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"truthdiscovery/internal/model"
+	"truthdiscovery/internal/value"
 )
 
 // The distributed engine promises the same contract as the sharded one —
@@ -238,5 +240,50 @@ func TestDistApplyShardDeltas(t *testing.T) {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
 		sameShardedResult(t, m.Name()+"/after-delta", flat, assembleDist(dr, nexecs))
+	}
+}
+
+// TestApplyShardDeltasAllOrNothing: when one owned shard's delta fails,
+// no shard advances — the others keep their snapshots and the assembly
+// stays that of the old claims — and the same valid deltas still apply.
+func TestApplyShardDeltasAllOrNothing(t *testing.T) {
+	ds, snaps := incWorld(t, 7, 2)
+	day0, day1 := snaps[0], snaps[1]
+	spec := model.RangeShards(2, day0.NumItems())
+	dl, err := day0.Diff(day1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := dl.Split(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if split[0].Empty() {
+		t.Fatal("no churn on shard 0")
+	}
+	sp, err := BuildShardedOwned(ds, day0, nil, spec, AccuPr{}.Needs(), 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapsBefore := []*model.Snapshot{sp.parts[0].snap, sp.parts[1].snap}
+	cpsBefore := append([]int(nil), sp.ClaimsPerSource...)
+
+	// Shard 1's delta retracts a claim its base does not hold.
+	item := model.ItemID(day0.NumItems() - 1)
+	bad := &model.Delta{NumItems: day0.NumItems(), Retracted: []model.Claim{
+		{Source: 0, Item: item, Val: value.Num(-1), CopiedFrom: model.NoSource}}}
+	if err := sp.ApplyShardDeltas([]*model.Delta{split[0], bad}); err == nil {
+		t.Fatal("a failing shard delta was accepted")
+	}
+	for k, s := range snapsBefore {
+		if sp.parts[k].snap != s {
+			t.Fatalf("shard %d advanced although shard 1's delta failed", k)
+		}
+	}
+	if !reflect.DeepEqual(sp.ClaimsPerSource, cpsBefore) {
+		t.Fatal("the failed apply changed the assembly")
+	}
+	if err := sp.ApplyShardDeltas([]*model.Delta{split[0], {NumItems: day0.NumItems()}}); err != nil {
+		t.Fatalf("shard 0's delta no longer applies: %v", err)
 	}
 }

@@ -253,7 +253,7 @@ func ResolveLayout(snap *model.Snapshot, shards, maxResident int, pl *Planner) (
 	if shards <= 1 {
 		shards, maxResident = 1, 0
 		if pl != nil && pl.ArenaBudgetBytes > 0 {
-			est := EstimateArenaBytes(snap.NumItems(), len(snap.Claims))
+			est := EstimateArenaBytes(snap.NumItems(), snap.NumClaims())
 			shards, maxResident = PlanShards(est, pl.ArenaBudgetBytes, snap.NumItems())
 		}
 	}

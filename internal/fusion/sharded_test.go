@@ -213,7 +213,10 @@ func TestShardedStateAdvanceUntouchedShards(t *testing.T) {
 	base := snaps[0]
 	// Target: only the first claimed item changes — every other shard's
 	// split delta is empty.
-	claims := append([]model.Claim(nil), base.Claims...)
+	var claims []model.Claim
+	for _, c := range base.Claims {
+		claims = append(claims, c)
+	}
 	claims[0].Val = value.Num(claims[0].Val.Num + 5)
 	target := model.NewSnapshot(1, "day1", base.NumItems(), claims)
 	delta, err := base.Diff(target)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 
 	"truthdiscovery/internal/value"
 )
@@ -142,8 +141,7 @@ func (d *Dataset) ComputeTolerances(alpha float64, snaps ...*Snapshot) {
 	}
 	perAttr := make([][]float64, len(d.Attrs))
 	for _, snap := range snaps {
-		for i := range snap.Claims {
-			c := &snap.Claims[i]
+		for _, c := range snap.Claims {
 			a := d.Items[c.Item].Attr
 			if d.Attrs[a].Kind == value.Number {
 				perAttr[a] = append(perAttr[a], c.Val.Num)
@@ -172,8 +170,8 @@ func (d *Dataset) Validate() error {
 		}
 	}
 	for si, snap := range d.Snapshots {
-		for ci := range snap.Claims {
-			c := &snap.Claims[ci]
+		var prev Claim
+		for ci, c := range snap.Claims {
 			if int(c.Source) >= len(d.Sources) || c.Source < 0 {
 				return fmt.Errorf("model: snapshot %d claim %d references source %d of %d", si, ci, c.Source, len(d.Sources))
 			}
@@ -184,14 +182,10 @@ func (d *Dataset) Validate() error {
 			if c.Val.Kind != kind {
 				return fmt.Errorf("model: snapshot %d claim %d value kind %v, attr wants %v", si, ci, c.Val.Kind, kind)
 			}
-		}
-		if !sort.SliceIsSorted(snap.Claims, func(a, b int) bool {
-			if snap.Claims[a].Item != snap.Claims[b].Item {
-				return snap.Claims[a].Item < snap.Claims[b].Item
+			if ci > 0 && claimKeyLess(&c, &prev) {
+				return fmt.Errorf("model: snapshot %d claims not sorted", si)
 			}
-			return snap.Claims[a].Source < snap.Claims[b].Source
-		}) {
-			return fmt.Errorf("model: snapshot %d claims not sorted", si)
+			prev = c
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -31,18 +32,18 @@ type Delta struct {
 	Changed   []ValueChange
 
 	// sorted records that every op list is already in claim-key order —
-	// the Diff invariant. Apply and DirtyItems skip their order-
-	// verification scans when it is set (the scans cost three passes over
-	// the delta, a large share of Apply at high churn); hand-assembled
-	// deltas leave it unset and pay the checks.
+	// the Diff invariant. Apply skips sorting the op lists when it is set,
+	// and DirtyItems its order scans; hand-assembled deltas leave it unset
+	// and pay the sort.
 	sorted bool
 }
 
 // MarkSorted declares that the op lists are already in claim-key order,
-// letting Apply and DirtyItems skip their order-verification scans. Only
-// mark deltas whose order is guaranteed by construction (Diff output, or
-// a faithfully transported copy of one): Apply does not verify what it
-// skips, and an out-of-order delta marked sorted will corrupt the merge.
+// letting Apply skip sorting them and DirtyItems skip its order scans.
+// Mark deltas whose order is guaranteed by construction (Diff output, or
+// a faithfully transported copy of one). Apply still checks the order as
+// it merges, so a marked delta that is out of order is an error, never a
+// corrupt snapshot.
 func (d *Delta) MarkSorted() { d.sorted = true }
 
 // ValueChange is one claim whose (source, item) key survives between
@@ -139,44 +140,46 @@ func sameKey(a, b *Claim) bool { return a.Item == b.Item && a.Source == b.Source
 
 // Diff computes the delta that transforms s into target. Both snapshots
 // must be indexed for the same item table; claims are matched by their
-// (item, source) key in one linear merge over the sorted claim lists, so
-// Diff is O(|s| + |target|).
+// (item, source) key in one linear merge per item, and an item whose view
+// the two snapshots share (Apply carried it over untouched) is skipped
+// without reading its claims.
 func (s *Snapshot) Diff(target *Snapshot) (*Delta, error) {
-	if s.numItems != target.numItems {
+	if len(s.items) != len(target.items) {
 		return nil, fmt.Errorf("model: diff across item tables (%d vs %d items)",
-			s.numItems, target.numItems)
+			len(s.items), len(target.items))
 	}
 	d := &Delta{
 		FromDay:   s.Day,
 		ToDay:     target.Day,
 		FromLabel: s.Label,
 		ToLabel:   target.Label,
-		NumItems:  s.numItems,
+		NumItems:  len(s.items),
 		sorted:    true, // op lists stream out of the merge in claim-key order
 	}
-	i, j := 0, 0
-	for i < len(s.Claims) && j < len(target.Claims) {
-		a, b := &s.Claims[i], &target.Claims[j]
-		switch {
-		case claimKeyLess(a, b):
-			d.Retracted = append(d.Retracted, *a)
-			i++
-		case claimKeyLess(b, a):
-			d.Added = append(d.Added, *b)
-			j++
-		default:
-			if *a != *b {
-				d.Changed = append(d.Changed, ValueChange{Old: *a, New: *b})
-			}
-			i++
-			j++
+	for it, a := range s.items {
+		b := target.items[it]
+		if len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) {
+			continue
 		}
-	}
-	for ; i < len(s.Claims); i++ {
-		d.Retracted = append(d.Retracted, s.Claims[i])
-	}
-	for ; j < len(target.Claims); j++ {
-		d.Added = append(d.Added, target.Claims[j])
+		i, j := 0, 0
+		for i < len(a) && j < len(b) {
+			switch x, y := &a[i], &b[j]; {
+			case x.Source < y.Source:
+				d.Retracted = append(d.Retracted, *x)
+				i++
+			case y.Source < x.Source:
+				d.Added = append(d.Added, *y)
+				j++
+			default:
+				if *x != *y {
+					d.Changed = append(d.Changed, ValueChange{Old: *x, New: *y})
+				}
+				i++
+				j++
+			}
+		}
+		d.Retracted = append(d.Retracted, a[i:]...)
+		d.Added = append(d.Added, b[j:]...)
 	}
 	return d, nil
 }
@@ -196,56 +199,196 @@ func sortedOps[T any](ops []T, key func(*T) *Claim) []T {
 	return out
 }
 
-// Apply replays a delta onto s, returning the target snapshot. The merge is
-// a single linear pass that verifies every operation against the base:
-// retractions and changes must match an existing claim exactly, and
-// additions must not collide with a surviving claim. The returned
-// snapshot's claims are built directly in sorted order (no re-sort), so
-// Diff-then-Apply reproduces the target snapshot exactly, index included.
+// compactShare is the share of a snapshot's claims that may sit in arenas
+// laid since its chain was last laid out in one arena (1/compactShare):
+// past it, Apply lays the whole snapshot out afresh. It bounds the claims
+// a chain of applied snapshots keeps alive beyond its live ones.
+const compactShare = 8
+
+// Apply replays a delta onto s, returning the target snapshot. The merge
+// verifies every operation against the base as it goes: retractions and
+// changes must match an existing claim exactly, a change must keep its
+// claim's key, additions must not collide with a surviving claim, every
+// op must name an item inside the table, and each op list must be in
+// strict claim-key order (Apply sorts an unmarked delta's lists first).
+// A delta that fails any check is an error and s is left as it was.
+//
+// Only the items the delta touches are merged, into one new exact-size
+// arena; every other item shares its view with s. Once the claims laid
+// into such arenas reach 1/8 of the snapshot, or the delta's ops alone
+// do, Apply instead lays the whole snapshot out in one new arena, so a
+// chain of applied snapshots retains at most about 1/8 more claims than
+// it holds.
 func (s *Snapshot) Apply(d *Delta) (*Snapshot, error) {
-	if s.numItems != d.NumItems {
+	if len(s.items) != d.NumItems {
 		return nil, fmt.Errorf("model: delta for %d items applied to snapshot with %d",
-			d.NumItems, s.numItems)
+			d.NumItems, len(s.items))
 	}
-	// The output claim count is known exactly (changes replace in place),
-	// so the slice never regrows during the merge.
-	claims := make([]Claim, 0, len(s.Claims)+len(d.Added)-len(d.Retracted))
-	add, ret, chg := d.Added, d.Retracted, d.Changed
+	w := opWalk{add: d.Added, ret: d.Retracted, chg: d.Changed, numItems: len(s.items), last: -1}
 	if !d.sorted {
-		// Hand-assembled delta: verify (and if needed restore) the claim-
-		// key order the merge below depends on. Diff-produced deltas carry
-		// the sorted flag and skip these three scans.
-		add = sortedOps(add, func(c *Claim) *Claim { return c })
-		ret = sortedOps(ret, func(c *Claim) *Claim { return c })
-		chg = sortedOps(chg, func(v *ValueChange) *Claim { return &v.Old })
+		// Hand-assembled delta: restore the claim-key order the merge
+		// checks. Diff-produced deltas carry the sorted flag and skip this.
+		w.add = sortedOps(w.add, func(c *Claim) *Claim { return c })
+		w.ret = sortedOps(w.ret, func(c *Claim) *Claim { return c })
+		w.chg = sortedOps(w.chg, func(v *ValueChange) *Claim { return &v.Old })
 	}
-	// Duplicate keys inside Added would slip past the per-claim collision
-	// check below (it only compares against surviving base claims) and
-	// break the snapshot's unique-key invariant.
-	for i := 1; i < len(add); i++ {
-		if sameKey(&add[i-1], &add[i]) {
-			return nil, fmt.Errorf("model: delta adds (item %d, source %d) twice",
-				add[i].Item, add[i].Source)
+	numClaims := s.numClaims + len(d.Added) - len(d.Retracted)
+	if numClaims < 0 {
+		return nil, fmt.Errorf("model: delta retracts %d claims from a snapshot of %d",
+			len(d.Retracted), s.numClaims)
+	}
+	out := &Snapshot{Day: d.ToDay, Label: d.ToLabel, numClaims: numClaims}
+
+	// Decide from the op count first: a delta whose ops alone reach the
+	// compaction share compacts without counting its items' claims.
+	compact := compactShare*d.Size() >= s.numClaims
+	laid := 0
+	if !compact {
+		count := w
+		for {
+			it, err := count.next()
+			if err != nil {
+				return nil, err
+			}
+			if it < 0 {
+				break
+			}
+			laid += len(s.items[it])
 		}
+		laid += len(d.Added) - len(d.Retracted)
+		compact = compactShare*(s.sinceCompact+laid) >= numClaims
+	}
+	if compact {
+		if err := s.applyCompact(out, &w); err != nil {
+			return nil, err
+		}
+		return out, nil
 	}
 
-	// emit appends c, interleaving any pending additions that sort before it.
-	emit := func(c *Claim) error {
-		for len(add) > 0 && claimKeyLess(&add[0], c) {
-			claims = append(claims, add[0])
-			add = add[1:]
+	out.sinceCompact = s.sinceCompact + laid
+	out.items = append([][]Claim(nil), s.items...)
+	arena := make([]Claim, 0, max(laid, 0))
+	for {
+		it, err := w.next()
+		if err != nil {
+			return nil, err
 		}
-		if len(add) > 0 && sameKey(&add[0], c) {
-			return fmt.Errorf("model: delta adds claim (item %d, source %d) that already exists",
-				add[0].Item, add[0].Source)
+		if it < 0 {
+			break
 		}
-		claims = append(claims, *c)
-		return nil
+		start := len(arena)
+		if arena, err = w.merge(arena, s.items[it]); err != nil {
+			return nil, err
+		}
+		out.items[it] = arena[start:len(arena):len(arena)]
 	}
+	return out, nil
+}
 
-	for i := range s.Claims {
-		c := &s.Claims[i]
-		if len(ret) > 0 && sameKey(&ret[0], c) {
+// applyCompact lays every item of s, after the walk's ops, out in item
+// order in one new arena of out's exact size.
+func (s *Snapshot) applyCompact(out *Snapshot, w *opWalk) error {
+	out.items = make([][]Claim, len(s.items))
+	arena := make([]Claim, 0, out.numClaims)
+	dirty, err := w.next()
+	if err != nil {
+		return err
+	}
+	for it, view := range s.items {
+		start := len(arena)
+		if it != dirty {
+			arena = append(arena, view...)
+		} else {
+			if arena, err = w.merge(arena, view); err != nil {
+				return err
+			}
+			if dirty, err = w.next(); err != nil {
+				return err
+			}
+		}
+		out.items[it] = arena[start:len(arena):len(arena)]
+	}
+	return nil
+}
+
+// opWalk walks a delta's op lists one item at a time, in item order,
+// checking that the lists name items inside the table in strict
+// claim-key order: one comparison per op.
+type opWalk struct {
+	add, ret []Claim
+	chg      []ValueChange
+	numItems int
+	last     int // the item taken last, -1 before the first
+
+	// The ops on the item taken last, in source order.
+	itemAdd, itemRet []Claim
+	itemChg          []ValueChange
+}
+
+// next takes the runs of ops on the next item the lists name and returns
+// that item, or -1 once every list is exhausted.
+func (w *opWalk) next() (int, error) {
+	if len(w.add) == 0 && len(w.ret) == 0 && len(w.chg) == 0 {
+		return -1, nil
+	}
+	it := math.MaxInt
+	if len(w.add) > 0 {
+		it = int(w.add[0].Item)
+	}
+	if len(w.ret) > 0 {
+		it = min(it, int(w.ret[0].Item))
+	}
+	if len(w.chg) > 0 {
+		it = min(it, int(w.chg[0].Old.Item))
+	}
+	if err := checkItem(it, w.numItems); err != nil {
+		return 0, err
+	}
+	if it <= w.last {
+		return 0, fmt.Errorf("model: delta ops out of claim-key order at item %d (after item %d)", it, w.last)
+	}
+	w.last = it
+	var err error
+	if w.itemAdd, w.add, err = claimRun(w.add, ItemID(it), "adds"); err != nil {
+		return 0, err
+	}
+	if w.itemRet, w.ret, err = claimRun(w.ret, ItemID(it), "retracts"); err != nil {
+		return 0, err
+	}
+	n := 0
+	for ; n < len(w.chg) && w.chg[n].Old.Item == ItemID(it); n++ {
+		if n > 0 && w.chg[n].Old.Source <= w.chg[n-1].Old.Source {
+			return 0, opOrderError("changes", &w.chg[n].Old)
+		}
+	}
+	w.itemChg, w.chg = w.chg[:n], w.chg[n:]
+	return it, nil
+}
+
+// claimRun splits cs into its leading run of claims on item it and the
+// rest, checking that the run's sources strictly increase.
+func claimRun(cs []Claim, it ItemID, verb string) (run, rest []Claim, err error) {
+	n := 0
+	for ; n < len(cs) && cs[n].Item == it; n++ {
+		if n > 0 && cs[n].Source <= cs[n-1].Source {
+			return nil, nil, opOrderError(verb, &cs[n])
+		}
+	}
+	return cs[:n], cs[n:], nil
+}
+
+func opOrderError(verb string, c *Claim) error {
+	return fmt.Errorf("model: delta %s (item %d, source %d) out of claim-key order or twice",
+		verb, c.Item, c.Source)
+}
+
+// merge appends base, the view of the item taken last, to dst with that
+// item's ops applied, checking each op against the base claim it meets.
+func (w *opWalk) merge(dst, base []Claim) ([]Claim, error) {
+	add, ret, chg := w.itemAdd, w.itemRet, w.itemChg
+	for i := range base {
+		c := &base[i]
+		if len(ret) > 0 && ret[0].Source == c.Source {
 			if ret[0] != *c {
 				return nil, fmt.Errorf("model: delta retracts (item %d, source %d) with a stale payload",
 					c.Item, c.Source)
@@ -253,23 +396,29 @@ func (s *Snapshot) Apply(d *Delta) (*Snapshot, error) {
 			ret = ret[1:]
 			continue
 		}
-		if len(chg) > 0 && sameKey(&chg[0].Old, c) {
+		for len(add) > 0 && add[0].Source < c.Source {
+			dst = append(dst, add[0])
+			add = add[1:]
+		}
+		if len(add) > 0 && add[0].Source == c.Source {
+			return nil, fmt.Errorf("model: delta adds claim (item %d, source %d) that already exists",
+				c.Item, c.Source)
+		}
+		if len(chg) > 0 && chg[0].Old.Source == c.Source {
 			if chg[0].Old != *c {
 				return nil, fmt.Errorf("model: delta changes (item %d, source %d) from a stale payload",
 					c.Item, c.Source)
 			}
-			if err := emit(&chg[0].New); err != nil {
-				return nil, err
+			if !sameKey(&chg[0].New, c) {
+				return nil, fmt.Errorf("model: delta changes (item %d, source %d) into (item %d, source %d)",
+					c.Item, c.Source, chg[0].New.Item, chg[0].New.Source)
 			}
+			dst = append(dst, chg[0].New)
 			chg = chg[1:]
 			continue
 		}
-		if err := emit(c); err != nil {
-			return nil, err
-		}
+		dst = append(dst, *c)
 	}
-	claims = append(claims, add...)
-
 	if len(ret) > 0 {
 		return nil, fmt.Errorf("model: delta retracts (item %d, source %d), absent from the base",
 			ret[0].Item, ret[0].Source)
@@ -278,8 +427,5 @@ func (s *Snapshot) Apply(d *Delta) (*Snapshot, error) {
 		return nil, fmt.Errorf("model: delta changes (item %d, source %d), absent from the base",
 			chg[0].Old.Item, chg[0].Old.Source)
 	}
-
-	out := &Snapshot{Day: d.ToDay, Label: d.ToLabel, Claims: claims, numItems: s.numItems}
-	out.buildIndex()
-	return out, nil
+	return append(dst, add...), nil
 }

@@ -67,42 +67,23 @@ func (sp ShardSpec) checkSpec(numItems int, what string) error {
 // claim order. Every shard keeps the full item table (item IDs stay
 // global) and the snapshot's Day/Label identity, so a shard snapshot is
 // a first-class Snapshot — it indexes, diffs and applies like any other.
-// A one-shard spec returns the receiver itself: nothing is copied.
+// Shards share the receiver's item views, so no claim is copied: a shard
+// costs its item table. A one-shard spec returns the receiver itself.
 func (s *Snapshot) Shard(sp ShardSpec) ([]*Snapshot, error) {
-	if err := sp.checkSpec(s.numItems, "snapshot"); err != nil {
+	if err := sp.checkSpec(len(s.items), "snapshot"); err != nil {
 		return nil, err
 	}
 	if sp.Shards == 1 {
 		return []*Snapshot{s}, nil
 	}
-	// Counting pass sizes each shard's claim slice exactly; the item
-	// index makes the per-item shard lookup one call per item, not one
-	// per claim.
-	counts := make([]int, sp.Shards)
-	for item := 0; item < s.numItems; item++ {
-		if n := s.ProviderCount(ItemID(item)); n > 0 {
-			counts[sp.ShardOf(ItemID(item))] += n
-		}
-	}
 	out := make([]*Snapshot, sp.Shards)
 	for k := range out {
-		out[k] = &Snapshot{
-			Day:      s.Day,
-			Label:    s.Label,
-			Claims:   make([]Claim, 0, counts[k]),
-			numItems: s.numItems,
-		}
+		out[k] = &Snapshot{Day: s.Day, Label: s.Label, items: make([][]Claim, len(s.items))}
 	}
-	for item := 0; item < s.numItems; item++ {
-		claims := s.ItemClaims(ItemID(item))
-		if len(claims) == 0 {
-			continue
-		}
-		k := sp.ShardOf(ItemID(item))
-		out[k].Claims = append(out[k].Claims, claims...)
-	}
-	for k := range out {
-		out[k].buildIndex()
+	for it, view := range s.items {
+		sh := out[sp.ShardOf(ItemID(it))]
+		sh.items[it] = view
+		sh.numClaims += len(view)
 	}
 	return out, nil
 }
@@ -112,8 +93,9 @@ func (s *Snapshot) Shard(sp ShardSpec) ([]*Snapshot, error) {
 // op order, so applying split[k] to the base's shard k reproduces the
 // target's shard k (asserted by the shard property tests). Op-list
 // order is preserved, so a sorted delta (Diff output) splits into
-// sorted shard deltas and the Apply fast path survives the routing. A
-// one-shard spec returns the receiver itself: nothing is copied.
+// sorted shard deltas and the Apply fast path survives the routing. An
+// op on an item outside the table is an error. A one-shard spec returns
+// the receiver itself: nothing is copied, and Apply checks the items.
 func (d *Delta) Split(sp ShardSpec) ([]*Delta, error) {
 	if err := sp.checkSpec(d.NumItems, "delta"); err != nil {
 		return nil, err
@@ -133,16 +115,33 @@ func (d *Delta) Split(sp ShardSpec) ([]*Delta, error) {
 		}
 	}
 	for i := range d.Added {
+		if err := checkItem(int(d.Added[i].Item), d.NumItems); err != nil {
+			return nil, err
+		}
 		k := sp.ShardOf(d.Added[i].Item)
 		out[k].Added = append(out[k].Added, d.Added[i])
 	}
 	for i := range d.Retracted {
+		if err := checkItem(int(d.Retracted[i].Item), d.NumItems); err != nil {
+			return nil, err
+		}
 		k := sp.ShardOf(d.Retracted[i].Item)
 		out[k].Retracted = append(out[k].Retracted, d.Retracted[i])
 	}
 	for i := range d.Changed {
+		if err := checkItem(int(d.Changed[i].Old.Item), d.NumItems); err != nil {
+			return nil, err
+		}
 		k := sp.ShardOf(d.Changed[i].Old.Item)
 		out[k].Changed = append(out[k].Changed, d.Changed[i])
 	}
 	return out, nil
+}
+
+// checkItem reports a delta op on an item outside the item table.
+func checkItem(it, numItems int) error {
+	if it < 0 || it >= numItems {
+		return fmt.Errorf("model: delta op on item %d outside a %d-item table", it, numItems)
+	}
+	return nil
 }

@@ -70,7 +70,7 @@ func TestShardSpecValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, sh := range shards {
-		if len(sh.Claims) != 0 {
+		if sh.NumClaims() != 0 {
 			t.Fatalf("empty-world shard %d has claims", k)
 		}
 	}
@@ -114,16 +114,16 @@ func TestSnapshotShardPartition(t *testing.T) {
 			if sh.Day != snap.Day || sh.Label != snap.Label || sh.NumItems() != numItems {
 				t.Fatalf("%d shards: shard %d identity %d %q %d", sp.Shards, k, sh.Day, sh.Label, sh.NumItems())
 			}
-			total += len(sh.Claims)
-			for i := range sh.Claims {
-				if got := sp.ShardOf(sh.Claims[i].Item); got != k {
+			total += sh.NumClaims()
+			for _, cl := range sh.Claims {
+				if got := sp.ShardOf(cl.Item); got != k {
 					t.Fatalf("%d shards: claim on item %d in shard %d, ShardOf says %d",
-						sp.Shards, sh.Claims[i].Item, k, got)
+						sp.Shards, cl.Item, k, got)
 				}
 			}
 		}
-		if total != len(snap.Claims) {
-			t.Fatalf("%d shards: %d claims across shards, want %d", sp.Shards, total, len(snap.Claims))
+		if total != snap.NumClaims() {
+			t.Fatalf("%d shards: %d claims across shards, want %d", sp.Shards, total, snap.NumClaims())
 		}
 		// Per-item claim slices are identical on the owning shard, and the
 		// shard's index agrees with the full snapshot's.
@@ -198,7 +198,7 @@ func checkSplitReassembles(t *testing.T, base, targetFull *Snapshot, d *Delta, s
 		if err != nil {
 			t.Fatalf("%d shards, shard %d: %v", sp.Shards, k, err)
 		}
-		if !reflect.DeepEqual(applied.Claims, targetShards[k].Claims) {
+		if !reflect.DeepEqual(claimList(applied), claimList(targetShards[k])) {
 			t.Fatalf("%d shards, shard %d: per-shard apply diverged from sharded target",
 				sp.Shards, k)
 		}

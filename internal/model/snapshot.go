@@ -10,21 +10,31 @@ import (
 	"truthdiscovery/internal/value"
 )
 
-// Snapshot holds every claim collected on one day, sorted by (item, source)
-// with a per-item index for contiguous access. The paper analyses individual
-// snapshots (e.g. 2011-07-07 for Stock, 2011-12-08 for Flight) and trends
-// across a month of snapshots.
+// Snapshot holds every claim collected on one day, sorted by (item, source).
+// The paper analyses individual snapshots (e.g. 2011-07-07 for Stock,
+// 2011-12-08 for Flight) and trends across a month of snapshots.
+//
+// A snapshot stores one claim view per item: a capacity-capped slice into
+// an arena of claims. Snapshots derived from one another share arenas, so
+// Apply copies only the items its delta touches and Shard copies no
+// claims at all (see Apply for how the retained memory stays bounded).
+// A snapshot is immutable once built; the views it hands out are shared
+// and must not be modified.
 type Snapshot struct {
-	Day    int    // 0-based day index within the collection period
-	Label  string // e.g. "2011-07-07"
-	Claims []Claim
+	Day   int    // 0-based day index within the collection period
+	Label string // e.g. "2011-07-07"
 
-	itemOffsets []int32 // itemOffsets[i]..itemOffsets[i+1] is item i's claim range
-	numItems    int
+	items     [][]Claim // items[i] is item i's claims, in source order
+	numClaims int
+	// sinceCompact counts the claims Apply has laid into arenas of their
+	// own since this snapshot's chain was last laid out in one arena.
+	sinceCompact int
 }
 
 // NewSnapshot builds a snapshot from unsorted claims. numItems must be the
-// dataset's item-table size; the claim slice is retained and sorted in place.
+// dataset's item-table size and every claim's item must lie inside it; the
+// claim slice is retained (it becomes the snapshot's arena) and sorted in
+// place.
 func NewSnapshot(day int, label string, numItems int, claims []Claim) *Snapshot {
 	sort.Slice(claims, func(a, b int) bool {
 		if claims[a].Item != claims[b].Item {
@@ -32,41 +42,57 @@ func NewSnapshot(day int, label string, numItems int, claims []Claim) *Snapshot 
 		}
 		return claims[a].Source < claims[b].Source
 	})
-	s := &Snapshot{Day: day, Label: label, Claims: claims, numItems: numItems}
-	s.buildIndex()
+	s := &Snapshot{Day: day, Label: label, items: make([][]Claim, numItems), numClaims: len(claims)}
+	for lo := 0; lo < len(claims); {
+		it := claims[lo].Item
+		if it < 0 || int(it) >= numItems {
+			panic(fmt.Sprintf("model: claim on item %d outside a %d-item table", it, numItems))
+		}
+		hi := lo + 1
+		for hi < len(claims) && claims[hi].Item == it {
+			hi++
+		}
+		s.items[it] = claims[lo:hi:hi]
+		lo = hi
+	}
 	return s
 }
 
-func (s *Snapshot) buildIndex() {
-	s.itemOffsets = make([]int32, s.numItems+1)
-	// Counting pass.
-	for i := range s.Claims {
-		s.itemOffsets[s.Claims[i].Item+1]++
-	}
-	for i := 1; i <= s.numItems; i++ {
-		s.itemOffsets[i] += s.itemOffsets[i-1]
+// NumItems returns the size of the item table this snapshot is indexed for.
+func (s *Snapshot) NumItems() int { return len(s.items) }
+
+// NumClaims returns the number of claims in the snapshot.
+func (s *Snapshot) NumClaims() int { return s.numClaims }
+
+// Claims yields every claim with its position, in (item, source) order:
+//
+//	for i, c := range snap.Claims { ... }
+func (s *Snapshot) Claims(yield func(int, Claim) bool) {
+	i := 0
+	for _, view := range s.items {
+		for _, c := range view {
+			if !yield(i, c) {
+				return
+			}
+			i++
+		}
 	}
 }
-
-// NumItems returns the size of the item table this snapshot is indexed for.
-func (s *Snapshot) NumItems() int { return s.numItems }
 
 // ItemClaims returns the claims on one item as a shared sub-slice
 // (callers must not modify it).
-func (s *Snapshot) ItemClaims(item ItemID) []Claim {
-	return s.Claims[s.itemOffsets[item]:s.itemOffsets[item+1]]
-}
+func (s *Snapshot) ItemClaims(item ItemID) []Claim { return s.items[item] }
 
 // ProviderCount returns the number of sources providing the item.
-func (s *Snapshot) ProviderCount(item ItemID) int {
-	return int(s.itemOffsets[item+1] - s.itemOffsets[item])
-}
+func (s *Snapshot) ProviderCount(item ItemID) int { return len(s.items[item]) }
 
 // SourceClaimCounts returns, per source, the number of claims it contributes.
 func (s *Snapshot) SourceClaimCounts(numSources int) []int {
 	counts := make([]int, numSources)
-	for i := range s.Claims {
-		counts[s.Claims[i].Source]++
+	for _, view := range s.items {
+		for i := range view {
+			counts[view[i].Source]++
+		}
 	}
 	return counts
 }
@@ -75,13 +101,15 @@ func (s *Snapshot) SourceClaimCounts(numSources int) []int {
 // covers in this snapshot.
 func (s *Snapshot) SourceObjectCounts(d *Dataset) []int {
 	counts := make([]int, len(d.Sources))
-	seen := make(map[[2]int32]struct{}, len(s.Claims))
-	for i := range s.Claims {
-		c := &s.Claims[i]
-		key := [2]int32{int32(c.Source), int32(d.Items[c.Item].Object)}
-		if _, dup := seen[key]; !dup {
-			seen[key] = struct{}{}
-			counts[c.Source]++
+	seen := make(map[[2]int32]struct{}, s.numClaims)
+	for _, view := range s.items {
+		for i := range view {
+			c := &view[i]
+			key := [2]int32{int32(c.Source), int32(d.Items[c.Item].Object)}
+			if _, dup := seen[key]; !dup {
+				seen[key] = struct{}{}
+				counts[c.Source]++
+			}
 		}
 	}
 	return counts
@@ -109,10 +137,9 @@ func (bi *BucketedItem) Providers(b int) []SourceID {
 // claim in the snapshot, in item order, using the dataset's per-attribute
 // tolerances.
 func (s *Snapshot) Bucketize(d *Dataset) []BucketedItem {
-	out := make([]BucketedItem, 0, s.numItems)
+	out := make([]BucketedItem, 0, len(s.items))
 	vals := make([]value.Value, 0, 64)
-	for item := 0; item < s.numItems; item++ {
-		claims := s.ItemClaims(ItemID(item))
+	for item, claims := range s.items {
 		if len(claims) == 0 {
 			continue
 		}
@@ -143,19 +170,21 @@ func (s *Snapshot) Digest() string {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	u64(uint64(s.numItems))
-	u64(uint64(len(s.Claims)))
-	for i := range s.Claims {
-		c := &s.Claims[i]
-		u64(uint64(uint32(c.Item))<<32 | uint64(uint32(c.Source)))
-		u64(uint64(c.Val.Kind))
-		u64(math.Float64bits(c.Val.Num))
-		u64(math.Float64bits(c.Val.Gran))
-		// Length-prefix the only variable-length field so no two claim
-		// streams can serialize to the same bytes.
-		u64(uint64(len(c.Val.Text)))
-		h.Write([]byte(c.Val.Text))
-		u64(uint64(uint32(c.CopiedFrom)))
+	u64(uint64(len(s.items)))
+	u64(uint64(s.numClaims))
+	for _, view := range s.items {
+		for i := range view {
+			c := &view[i]
+			u64(uint64(uint32(c.Item))<<32 | uint64(uint32(c.Source)))
+			u64(uint64(c.Val.Kind))
+			u64(math.Float64bits(c.Val.Num))
+			u64(math.Float64bits(c.Val.Gran))
+			// Length-prefix the only variable-length field so no two claim
+			// streams can serialize to the same bytes.
+			u64(uint64(len(c.Val.Text)))
+			h.Write([]byte(c.Val.Text))
+			u64(uint64(uint32(c.CopiedFrom)))
+		}
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

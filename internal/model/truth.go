@@ -65,8 +65,7 @@ func (t *TruthTable) Consistent(d *Dataset, item ItemID, v value.Value) bool {
 func (t *TruthTable) SourceAccuracy(d *Dataset, s *Snapshot) (accuracy, coverage []float64) {
 	right := make([]int, len(d.Sources))
 	total := make([]int, len(d.Sources))
-	for i := range s.Claims {
-		c := &s.Claims[i]
+	for _, c := range s.Claims {
 		truth, ok := t.vals[c.Item]
 		if !ok {
 			continue
@@ -102,8 +101,7 @@ func (t *TruthTable) PerAttrAccuracy(d *Dataset, s *Snapshot, fallback []float64
 		right[i] = make([]int, numA)
 		total[i] = make([]int, numA)
 	}
-	for i := range s.Claims {
-		c := &s.Claims[i]
+	for _, c := range s.Claims {
 		truth, ok := t.vals[c.Item]
 		if !ok {
 			continue

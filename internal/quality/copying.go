@@ -60,8 +60,7 @@ func CopyingStats(ds *model.Dataset, snap *model.Snapshot,
 			valsByItem[i] = make(map[model.ItemID]value.Value)
 			memberIndex[m] = i
 		}
-		for ci := range snap.Claims {
-			c := &snap.Claims[ci]
+		for _, c := range snap.Claims {
 			i, ok := memberIndex[c.Source]
 			if !ok {
 				continue

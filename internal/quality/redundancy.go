@@ -45,8 +45,7 @@ func Redundancy(ds *model.Dataset, snap *model.Snapshot, sources []model.SourceI
 	itemCount := make([]int, len(ds.Items))
 	srcItem := make([]int, len(ds.Sources))
 
-	for i := range snap.Claims {
-		c := &snap.Claims[i]
+	for _, c := range snap.Claims {
 		if !include[c.Source] {
 			continue
 		}

@@ -73,9 +73,9 @@ func TestIngestFlushPublishes(t *testing.T) {
 	}
 
 	// The reference: the same claim set fused offline.
-	mutate := func(claims []model.Claim, change func(c *model.Claim) bool, drop func(c *model.Claim) bool) []model.Claim {
-		out := make([]model.Claim, 0, len(claims))
-		for _, c := range claims {
+	mutate := func(snap *model.Snapshot, change func(c *model.Claim) bool, drop func(c *model.Claim) bool) []model.Claim {
+		out := make([]model.Claim, 0, snap.NumClaims())
+		for _, c := range snap.Claims {
 			if drop != nil && drop(&c) {
 				continue
 			}
@@ -87,7 +87,7 @@ func TestIngestFlushPublishes(t *testing.T) {
 		return out
 	}
 	item := func(obj int) model.ItemID { return w.snaps[0].ItemClaims(model.ItemID(obj))[0].Item }
-	after1 := model.NewSnapshot(1, "live-1", len(w.ds.Items), mutate(w.snaps[0].Claims,
+	after1 := model.NewSnapshot(1, "live-1", len(w.ds.Items), mutate(w.snaps[0],
 		func(c *model.Claim) bool {
 			if c.Item == item(0) && c.Source == 0 {
 				c.Val = value.NumGran(99.5, 0.1)
@@ -115,7 +115,7 @@ func TestIngestFlushPublishes(t *testing.T) {
 	if err := ing.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	after2claims := append(mutate(after1.Claims, nil, nil), model.Claim{
+	after2claims := append(mutate(after1, nil, nil), model.Claim{
 		Source: 1, Item: item(1), Val: value.NumGran(42.25, 0.01), CopiedFrom: model.NoSource,
 	})
 	after2 := model.NewSnapshot(2, "live-2", len(w.ds.Items), after2claims)

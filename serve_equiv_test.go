@@ -69,6 +69,15 @@ func sameWireAnswers(t *testing.T, ctx string, got []wireAnswer, want []Answer) 
 	}
 }
 
+// claimList collects a snapshot's claims in (item, source) order.
+func claimList(s *model.Snapshot) []model.Claim {
+	out := make([]model.Claim, 0, s.NumClaims())
+	for _, c := range s.Claims {
+		out = append(out, c)
+	}
+	return out
+}
+
 func sameFloatsBits(t *testing.T, ctx string, a, b []float64) {
 	t.Helper()
 	if len(a) != len(b) || (a == nil) != (b == nil) {
@@ -215,8 +224,9 @@ func TestIngestRoundTripBitIdentical(t *testing.T) {
 				val      value.Value
 			}
 			var muts []mutation
-			for ci := 0; ci < len(w.snap.Claims) && len(muts) < 210; ci += 7 {
-				c := &w.snap.Claims[ci]
+			claims := claimList(w.snap)
+			for ci := 0; ci < len(claims) && len(muts) < 210; ci += 7 {
+				c := &claims[ci]
 				it := w.ds.Items[c.Item]
 				num := float64(10 + len(muts)%90)
 				muts = append(muts, mutation{
@@ -234,17 +244,15 @@ func TestIngestRoundTripBitIdentical(t *testing.T) {
 				t.Fatalf("only %d mutation targets", len(muts))
 			}
 
-			// The reference: the same claim set, hand-applied and fused
-			// offline through the public API.
-			expClaims := make([]model.Claim, len(w.snap.Claims))
-			copy(expClaims, w.snap.Claims)
+			// The reference: the same claim set (a copy), hand-applied and
+			// fused offline through the public API.
 			for _, m := range muts {
-				expClaims[m.claimIdx].Val = m.val
-				expClaims[m.claimIdx].Cause = model.CauseNone
-				expClaims[m.claimIdx].CopiedFrom = model.NoSource
+				claims[m.claimIdx].Val = m.val
+				claims[m.claimIdx].Cause = model.CauseNone
+				claims[m.claimIdx].CopiedFrom = model.NoSource
 			}
 			expected := model.NewSnapshot(w.snap.Day+1, fmt.Sprintf("live-%d", w.snap.Day+1),
-				w.snap.NumItems(), expClaims)
+				w.snap.NumItems(), claims)
 			want, err := Fuse(w.ds, expected, method, FuseOptions{Sources: w.fused})
 			if err != nil {
 				t.Fatal(err)

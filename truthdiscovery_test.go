@@ -31,8 +31,8 @@ func TestBuilderAndFuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	if len(ds.Items) != 2 || len(snap.Claims) != 5 {
-		t.Fatalf("built %d items / %d claims", len(ds.Items), len(snap.Claims))
+	if len(ds.Items) != 2 || snap.NumClaims() != 5 {
+		t.Fatalf("built %d items / %d claims", len(ds.Items), snap.NumClaims())
 	}
 
 	answers, err := Fuse(ds, snap, "Vote", FuseOptions{})
