@@ -1069,6 +1069,70 @@ func BenchmarkDistributedFuse(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "runs/s")
 }
 
+var (
+	distApplyOnce   sync.Once
+	distApplyClient *dist.PeerClient
+	distApplyDeltas [2][]*model.Delta
+	distApplyCount  int // applies so far: its parity picks the next delta
+)
+
+// BenchmarkDistributedApply measures one worker's /rpc/apply on the Stock
+// world: a delta that reprices one claim on each of four items of the
+// worker's one owned shard (as truthserved -workers lays a fleet out,
+// one shard per worker), alternating with its inverse so every
+// iteration advances the same claims. The worker is its own, so the
+// distBenchWorld fleet stays at version 1 for the other benchmarks.
+func BenchmarkDistributedApply(b *testing.B) {
+	env := benchEnviron(b)
+	d := env.Stock()
+	distApplyOnce.Do(func() {
+		n := d.Snap.NumItems()
+		spec := model.RangeShards(2, n)
+		m, _ := fusion.ByName("AccuPr")
+		wk, err := dist.NewWorker(dist.WorkerConfig{
+			DS: d.DS, Snap: d.Snap, Spec: spec, Lo: 0, Hi: 1,
+			Method: m, Fingerprint: "bench-dist-apply",
+		})
+		if err != nil {
+			panic(err)
+		}
+		// The worker lives for the whole bench process, like the fleet.
+		ts := httptest.NewServer(wk.Handler())
+		distApplyClient = dist.NewPeerClient(ts.URL)
+
+		var claims []model.Claim
+		last, changed := model.ItemID(-1), 0
+		for _, c := range d.Snap.Claims {
+			if changed < 4 && c.Item != last && spec.ShardOf(c.Item) == 0 && c.Val.Kind == Number {
+				c.Val.Num *= 1.5
+				last = c.Item
+				changed++
+			}
+			claims = append(claims, c)
+		}
+		next := model.NewSnapshot(d.Snap.Day+1, "", n, claims)
+		for i, pair := range [2][2]*model.Snapshot{{d.Snap, next}, {next, d.Snap}} {
+			dl, err := pair[0].Diff(pair[1])
+			if err != nil {
+				panic(err)
+			}
+			split, err := dl.Split(spec)
+			if err != nil {
+				panic(err)
+			}
+			distApplyDeltas[i] = split[:1]
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := distApplyClient.Apply(distApplyDeltas[distApplyCount%2]); err != nil {
+			b.Fatal(err)
+		}
+		distApplyCount++
+	}
+}
+
 // BenchmarkServeLoadRouted drives the loadgen harness against the
 // scatter-gather front: every point read fans to the owning worker over
 // real TCP, so the numbers include the router's fan-out hop — directly

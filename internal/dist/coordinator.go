@@ -200,10 +200,6 @@ func (c *Coordinator) runAndPublishLocked() (*serve.View, error) {
 		}
 	}
 	roster := fusion.DefaultRoster(c.cfg.DS)
-	names := make([]string, len(roster))
-	for i, id := range roster {
-		names[i] = c.cfg.DS.Sources[id].Name
-	}
 	v := serve.NewView(serve.View{
 		Version:     c.vers,
 		Method:      c.cfg.Method.Name(),
@@ -212,7 +208,7 @@ func (c *Coordinator) runAndPublishLocked() (*serve.View, error) {
 		Label:       c.label,
 		CreatedUnix: now,
 		SourceIDs:   roster,
-		SourceNames: names,
+		SourceNames: c.cfg.DS.SourceNames(roster),
 		Trust:       dr.Trust,
 		AttrTrust:   dr.AttrTrust,
 	})

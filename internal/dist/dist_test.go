@@ -202,75 +202,82 @@ func TestHTTPFleetBitIdentical(t *testing.T) {
 	}
 }
 
-// TestHTTPApplyBitIdentical: a delta pushed through Coordinator.Apply
+// TestHTTPApplyBitIdentical: each delta pushed through Coordinator.Apply
 // leaves the fleet bit-identical to flat Fuse of the advanced snapshot.
+// Two deltas in a row make every worker advance the problems it
+// maintained at the first.
 func TestHTTPApplyBitIdentical(t *testing.T) {
-	ds, snaps := world(t, 2)
-	day0, day1 := snaps[0], snaps[1]
-	spec := model.RangeShards(4, day0.NumItems())
+	ds, snaps := world(t, 3)
+	spec := model.RangeShards(4, snaps[0].NumItems())
 	m, _ := fusion.ByName("AccuPr")
-	wantRes, wantAns := flatReference(ds, day1, m)
 
 	dirs := []string{t.TempDir(), t.TempDir()}
-	fl := newFleet(t, ds, day0, m, spec, []int{0, 2, 4}, dirs, serve.NewServer())
+	fl := newFleet(t, ds, snaps[0], m, spec, []int{0, 2, 4}, dirs, serve.NewServer())
 	if _, err := fl.coord.RunAndPublish(); err != nil {
 		t.Fatal(err)
 	}
-	dl, err := day0.Diff(day1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Round-trip the delta through JSON first — Apply ships it to the
-	// workers over the wire, so the coordinator-side split must survive
-	// encoding too (MarkSorted is restored worker-side).
-	v, stats, err := fl.coord.Apply(dl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Version != 2 || stats.Mode != fusion.ModeFull {
-		t.Fatalf("apply published version %d mode %v", v.Version, stats.Mode)
-	}
-	sameBits(t, "applied trust", v.Trust, wantRes.Trust)
-	var got []fusion.Answer
-	for w := range fl.workers {
-		st, err := store.Open(dirs[w])
+	for d := 1; d < len(snaps); d++ {
+		wantRes, wantAns := flatReference(ds, snaps[d], m)
+		dl, err := snaps[d-1].Diff(snaps[d])
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := st.LoadCurrent()
+		// Apply ships the split delta to the workers over the wire, so it
+		// must survive encoding (MarkSorted is restored worker-side).
+		v, stats, err := fl.coord.Apply(dl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if run.Version != 2 || run.Day != day1.Day {
-			t.Fatalf("worker %d run: version %d day %d", w, run.Version, run.Day)
+		version := uint64(d + 1)
+		if v.Version != version || stats.Mode != fusion.ModeFull {
+			t.Fatalf("day %d: apply published version %d mode %v", d, v.Version, stats.Mode)
 		}
-		got = append(got, run.Answers...)
+		sameBits(t, fmt.Sprintf("day %d trust", d), v.Trust, wantRes.Trust)
+		var got []fusion.Answer
+		for w := range fl.workers {
+			st, err := store.Open(dirs[w])
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := st.LoadCurrent()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run.Version != version || run.Day != snaps[d].Day {
+				t.Fatalf("day %d: worker %d run: version %d day %d", d, w, run.Version, run.Day)
+			}
+			got = append(got, run.Answers...)
+		}
+		sameAnswers(t, fmt.Sprintf("day %d fleet answers", d), got, wantAns)
 	}
-	sameAnswers(t, "applied fleet answers", got, wantAns)
 }
 
 // TestWorkerRestartReattach: a worker killed and rebuilt from the
 // genesis snapshot warm-starts serving from its store, and Reattach
-// replays the stream so the next publish is again bit-identical.
+// replays the stream — two days of it, in one delta — so the next
+// publish is again bit-identical.
 func TestWorkerRestartReattach(t *testing.T) {
-	ds, snaps := world(t, 2)
-	day0, day1 := snaps[0], snaps[1]
+	ds, snaps := world(t, 3)
+	day0, last := snaps[0], snaps[len(snaps)-1]
 	spec := model.RangeShards(4, day0.NumItems())
 	m, _ := fusion.ByName("AccuPr")
-	_, wantAns := flatReference(ds, day1, m)
+	_, wantAns := flatReference(ds, last, m)
 
 	dirs := []string{t.TempDir(), t.TempDir()}
 	fl := newFleet(t, ds, day0, m, spec, []int{0, 2, 4}, dirs, serve.NewServer())
 	if _, err := fl.coord.RunAndPublish(); err != nil {
 		t.Fatal(err)
 	}
-	dl, err := day0.Diff(day1)
-	if err != nil {
-		t.Fatal(err)
+	for d := 1; d < len(snaps); d++ {
+		dl, err := snaps[d-1].Diff(snaps[d])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := fl.coord.Apply(dl); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, _, err := fl.coord.Apply(dl); err != nil {
-		t.Fatal(err)
-	}
+	published := fl.coord.Version()
 
 	// Kill worker 1 and rebuild it from the genesis snapshot + its store.
 	fl.servers[1].Close()
@@ -289,19 +296,19 @@ func TestWorkerRestartReattach(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	// Warm start: before any reattach, the restarted worker already
-	// serves its persisted version-2 answers.
+	// serves its persisted answers of the last published version.
 	version, answers := workerAnswers(t, ts)
-	if version != 2 || len(answers) == 0 {
-		t.Fatalf("restarted worker serves version %d with %d answers, want warm version 2", version, len(answers))
+	if version != published || len(answers) == 0 {
+		t.Fatalf("restarted worker serves version %d with %d answers, want warm version %d", version, len(answers), published)
 	}
 
-	// Reattach replays day0→day1 to the worker's shards and republishes
-	// the whole fleet at version 3, still bit-identical.
+	// Reattach replays day0→last to the worker's shards and republishes
+	// the whole fleet at the next version, still bit-identical.
 	if err := fl.coord.Reattach(1, ts.URL); err != nil {
 		t.Fatal(err)
 	}
-	if got := fl.coord.Version(); got != 3 {
-		t.Fatalf("fleet at version %d after reattach, want 3", got)
+	if got := fl.coord.Version(); got != published+1 {
+		t.Fatalf("fleet at version %d after reattach, want %d", got, published+1)
 	}
 	var got []fusion.Answer
 	for w, dir := range dirs {
@@ -313,8 +320,8 @@ func TestWorkerRestartReattach(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if run.Version != 3 {
-			t.Fatalf("worker %d at version %d after reattach", w, run.Version)
+		if run.Version != published+1 || run.Day != last.Day {
+			t.Fatalf("worker %d at version %d day %d after reattach", w, run.Version, run.Day)
 		}
 		got = append(got, run.Answers...)
 	}
@@ -489,7 +496,7 @@ func TestWorkerApplyRejectsBadDelta(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the valid deltas no longer apply: %v", err)
 	}
-	want, err := fusion.BuildShardedOwned(ds, day1, nil, spec, m.Needs(), 0, 2)
+	want, err := fusion.BuildSharded(ds, day1, nil, spec, 0, 2, m.Needs(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,9 +90,12 @@ type foldResponse struct {
 
 // applyRequest advances the worker's owned shards by their slices of a
 // split delta (index d - lo of Deltas holds shard d's delta; every
-// owned shard gets one, empty deltas included). The worker's executor
-// is discarded — scores are per-run state — and the response carries
-// the new local claim counts so the coordinator can re-sum and re-init.
+// owned shard gets one, empty deltas included). The worker advances
+// them through the engine's per-shard advance (ShardedProblem.Advance):
+// each touched shard maintains its problem with UpdateProblem, and a
+// failing delta leaves the worker as it was. The worker's executor is
+// discarded — scores are per-run state — and the response carries the
+// new local claim counts so the coordinator can re-sum and re-init.
 type applyRequest struct {
 	Deltas []*model.Delta `json:"deltas"`
 }

@@ -59,7 +59,7 @@ type Worker struct {
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	needs := cfg.Method.Needs()
 	needs.Parallelism = cfg.Opts.Parallelism
-	sp, err := fusion.BuildShardedOwned(cfg.DS, cfg.Snap, nil, cfg.Spec, needs, cfg.Lo, cfg.Hi)
+	sp, err := fusion.BuildSharded(cfg.DS, cfg.Snap, nil, cfg.Spec, cfg.Lo, cfg.Hi, needs, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -239,10 +239,6 @@ func (w *Worker) fold(req *foldRequest) (foldResponse, error) {
 func (w *Worker) apply(req *applyRequest) (applyResponse, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(req.Deltas) != w.cfg.Hi-w.cfg.Lo {
-		return applyResponse{}, fmt.Errorf("dist: worker %d owns %d shards, got %d deltas",
-			w.cfg.Index, w.cfg.Hi-w.cfg.Lo, len(req.Deltas))
-	}
 	for _, dl := range req.Deltas {
 		if dl == nil {
 			return applyResponse{}, fmt.Errorf("dist: worker %d: nil delta in apply", w.cfg.Index)
@@ -251,9 +247,13 @@ func (w *Worker) apply(req *applyRequest) (applyResponse, error) {
 		// preserves Diff order per shard, so restore it after decode.
 		dl.MarkSorted()
 	}
-	if err := w.sp.ApplyShardDeltas(req.Deltas); err != nil {
-		return applyResponse{}, err
+	// The engine's per-shard advance: the owned shards are maintained
+	// with UpdateProblem, and a failing delta leaves w.sp as it was.
+	next, _, err := w.sp.Advance(w.cfg.DS, req.Deltas, w.cfg.Opts.Parallelism, false)
+	if err != nil {
+		return applyResponse{}, fmt.Errorf("dist: worker %d: %w", w.cfg.Index, err)
 	}
+	w.sp = &next
 	w.exec = nil // scores are per-run state; the coordinator re-inits
 	w.day, w.label = req.Deltas[0].ToDay, req.Deltas[0].ToLabel
 	return applyResponse{Day: w.day, Label: w.label, CPS: w.sp.ClaimsPerSource}, nil
@@ -269,10 +269,6 @@ func (w *Worker) publish(req *publishRequest) (publishResponse, error) {
 	res := e.LocalResult(req.Trust, req.AttrTrust, req.Rounds, req.Converged)
 	answers := fusion.AnswersForSharded(w.cfg.DS, w.sp, res)
 	roster := fusion.DefaultRoster(w.cfg.DS)
-	names := make([]string, len(roster))
-	for i, id := range roster {
-		names[i] = w.cfg.DS.Sources[id].Name
-	}
 	v := serve.NewView(serve.View{
 		Version:     req.Version,
 		Method:      w.cfg.Method.Name(),
@@ -281,7 +277,7 @@ func (w *Worker) publish(req *publishRequest) (publishResponse, error) {
 		Label:       req.Label,
 		CreatedUnix: req.CreatedUnix,
 		SourceIDs:   roster,
-		SourceNames: names,
+		SourceNames: w.cfg.DS.SourceNames(roster),
 		Trust:       req.Trust,
 		AttrTrust:   req.AttrTrust,
 		Answers:     answers,

@@ -58,7 +58,7 @@ func TestWarmRoundsAllocationFree(t *testing.T) {
 	ds, snaps := incWorld(t, 3, 1)
 	needs := BuildOptions{NeedSimilarity: true, NeedFormat: true}
 	p := Build(ds, snaps[0], nil, needs)
-	sp, err := BuildSharded(ds, snaps[0], nil, model.RangeShards(1, snaps[0].NumItems()), needs, 0)
+	sp, err := BuildSharded(ds, snaps[0], nil, model.RangeShards(1, snaps[0].NumItems()), 0, 1, needs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

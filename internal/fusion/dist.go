@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"truthdiscovery/internal/model"
 	"truthdiscovery/internal/parallel"
 )
 
@@ -59,87 +58,6 @@ type DistPeer interface {
 	MinMax(space int) (lo, hi float64, err error)
 	Rescale(space int, lo, hi float64) error
 	Fold(fold int, trust []float64, byKey [][]float64, acc [][]float64) ([][]float64, error)
-}
-
-// BuildShardedOwned builds the shard problems of shards [lo, hi) only —
-// one worker's owned slice of the spec, a contiguous run of global item
-// order, so chaining workers in shard order reproduces the one-process
-// fold association. The assembled ClaimsPerSource covers only the owned
-// shards; distributed runs use the coordinator's global sum instead
-// (NewDistExec).
-func BuildShardedOwned(ds *model.Dataset, snap *model.Snapshot, sources []model.SourceID,
-	spec model.ShardSpec, needs BuildOptions, lo, hi int) (*ShardedProblem, error) {
-
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if lo < 0 || hi > spec.Shards || lo >= hi {
-		return nil, fmt.Errorf("fusion: owned shard range [%d, %d) outside [0, %d)", lo, hi, spec.Shards)
-	}
-	if sources == nil {
-		sources = DefaultRoster(ds)
-	}
-	snaps, err := snap.Shard(spec)
-	if err != nil {
-		return nil, err
-	}
-	sp := &ShardedProblem{
-		Spec:      spec,
-		SourceIDs: sources,
-		NumAttrs:  len(ds.Attrs),
-		ds:        ds,
-		needs:     needs,
-	}
-	for k := lo; k < hi; k++ {
-		p := Build(ds, snaps[k], sources, needs)
-		pt := &shardPart{snap: snaps[k], resident: true, p: p}
-		recordPart(pt, p)
-		sp.parts = append(sp.parts, pt)
-	}
-	sp.finishAssembly()
-	return sp, nil
-}
-
-// ApplyShardDeltas advances the shard set one delta step: deltas[k] is
-// shard k's slice of a Delta.Split (nil or empty deltas leave the shard's
-// claims untouched, carrying its arena forward; non-empty ones rebuild
-// the shard problem deterministically). Every delta is applied before
-// any shard changes, so a delta that fails leaves the whole set as it
-// was. The cross-shard structures are re-derived afterwards, so the next
-// run sees the updated snapshot — the distributed ingest path re-runs
-// fusion in full, which stays bit-identical to a fresh fuse of the
-// advanced snapshot.
-func (sp *ShardedProblem) ApplyShardDeltas(deltas []*model.Delta) error {
-	if len(deltas) != len(sp.parts) {
-		return fmt.Errorf("fusion: %d shard deltas for %d owned shards", len(deltas), len(sp.parts))
-	}
-	snaps := make([]*model.Snapshot, len(deltas))
-	for k, dl := range deltas {
-		if dl == nil {
-			continue
-		}
-		ns, err := sp.parts[k].snap.Apply(dl)
-		if err != nil {
-			return fmt.Errorf("fusion: shard %d delta: %w", k, err)
-		}
-		snaps[k] = ns
-	}
-	for k, ns := range snaps {
-		switch {
-		case ns == nil:
-		case deltas[k].Empty():
-			npt := sp.parts[k].carryForward()
-			npt.snap = ns
-			sp.parts[k] = npt
-		default:
-			p := Build(sp.ds, ns, sp.SourceIDs, sp.needs)
-			npt := &shardPart{snap: ns, resident: true, p: p}
-			recordPart(npt, p)
-			sp.parts[k] = npt
-		}
-	}
-	sp.finishAssembly()
-	return nil
 }
 
 // distKind selects a method's phase/fold kernels and round loop.

@@ -29,9 +29,9 @@ func distWorld(t *testing.T, ds *model.Dataset, snap *model.Snapshot, m Method,
 	var sps []*ShardedProblem
 	cps := make([]int, 0)
 	for w := 0; w+1 < len(bounds); w++ {
-		sp, err := BuildShardedOwned(ds, snap, nil, spec, needs, bounds[w], bounds[w+1])
+		sp, err := BuildSharded(ds, snap, nil, spec, bounds[w], bounds[w+1], needs, 0)
 		if err != nil {
-			t.Fatalf("BuildShardedOwned[%d,%d): %v", bounds[w], bounds[w+1], err)
+			t.Fatalf("BuildSharded[%d,%d): %v", bounds[w], bounds[w+1], err)
 		}
 		if len(cps) == 0 {
 			cps = make([]int, len(sp.ClaimsPerSource))
@@ -158,7 +158,7 @@ func TestDistRunRejectsOfflineOptions(t *testing.T) {
 			if _, err := DistRun(tc.m, tc.opts, nil, n, numAttrs, nil); !errors.Is(err, errNoSplit) {
 				t.Fatalf("%s: DistRun error %v, want the capability error", tc.name, err)
 			}
-			sp, err := BuildShardedOwned(ds, snap, nil, spec, AccuCopy{}.Needs(), 0, 4)
+			sp, err := BuildSharded(ds, snap, nil, spec, 0, 4, AccuCopy{}.Needs(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,26 +179,104 @@ func TestDistRunRejectsOfflineOptions(t *testing.T) {
 	}
 }
 
-// TestBuildShardedOwnedNeedsRange: a worker owns a non-empty run of
-// shards inside the spec, the contiguous item range its fold link
-// covers.
-func TestBuildShardedOwnedNeedsRange(t *testing.T) {
+// TestBuildShardedNeedsRange: the built shards are a non-empty run of
+// the spec's, the contiguous item range a worker's fold link covers.
+func TestBuildShardedNeedsRange(t *testing.T) {
 	ds, snaps := incWorld(t, 5, 1)
 	rs := model.RangeShards(2, snaps[0].NumItems())
 	for _, r := range [][2]int{{1, 1}, {-1, 1}, {1, 3}} {
-		if _, err := BuildShardedOwned(ds, snaps[0], nil, rs, AccuPr{}.Needs(), r[0], r[1]); err == nil {
-			t.Fatalf("BuildShardedOwned accepted the owned range [%d, %d) of 2 shards", r[0], r[1])
+		if _, err := BuildSharded(ds, snaps[0], nil, rs, r[0], r[1], AccuPr{}.Needs(), 0); err == nil {
+			t.Fatalf("BuildSharded accepted the shard range [%d, %d) of 2 shards", r[0], r[1])
 		}
 	}
 }
 
-// TestDistApplyShardDeltas: after a delta advance on every worker, a
-// fresh distributed run equals flat Fuse of the advanced snapshot — the
-// distributed ingest path's contract.
-func TestDistApplyShardDeltas(t *testing.T) {
-	ds, snaps := incWorld(t, 7, 2)
-	day0, day1 := snaps[0], snaps[1]
+// TestDistAdvanceChain: workers that advance their owned shards through
+// ShardedProblem.Advance, one delta after another, stay bit-identical to
+// flat Fuse of each day's snapshot — so a worker's maintained problems
+// carry from one apply to the next as the engine's do.
+func TestDistAdvanceChain(t *testing.T) {
+	ds, snaps := incWorld(t, 7, 3)
+	spec := model.RangeShards(4, snaps[0].NumItems())
+	bounds := []int{0, 2, 4}
+	splits := make([][]*model.Delta, len(snaps)-1)
+	for d := range splits {
+		dl, err := snaps[d].Diff(snaps[d+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if splits[d], err = dl.Split(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range []Method{Vote{}, Cosine{}, AccuPr{}, AccuFormatAttr{}} {
+		_, execs := distWorld(t, ds, snaps[0], m, Options{}, spec, bounds)
+		sps := make([]*ShardedProblem, len(execs))
+		for w, e := range execs {
+			sps[w] = e.Problem()
+		}
+		for d, split := range splits {
+			ctx := fmt.Sprintf("%s/day%d", m.Name(), d+1)
+			cps := make([]int, len(sps[0].ClaimsPerSource))
+			for w, sp := range sps {
+				next, rb, err := sp.Advance(ds, split[bounds[w]:bounds[w+1]], 0, false)
+				if err != nil {
+					t.Fatalf("%s: worker %d: %v", ctx, w, err)
+				}
+				if rb.Dirty == 0 {
+					t.Fatalf("%s: worker %d rebuilt nothing", ctx, w)
+				}
+				sps[w] = &next
+				for s, c := range next.ClaimsPerSource {
+					cps[s] += c
+				}
+			}
+			// Scores are per-run state: each run gets fresh executors.
+			peers := make([]DistPeer, len(sps))
+			nexecs := make([]*DistExec, len(sps))
+			for w, sp := range sps {
+				e, err := NewDistExec(sp, m, Options{}, cps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				peers[w], nexecs[w] = e, e
+			}
+			dr, err := DistRun(m, Options{}, peers, len(DefaultRoster(ds)), len(ds.Attrs), cps)
+			if err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			flat := m.Run(Build(ds, snaps[d+1], nil, m.Needs()), Options{})
+			sameShardedResult(t, ctx, flat, assembleDist(dr, nexecs))
+		}
+	}
+}
+
+// TestShardedAdvanceRebuildsOneItem: on a worker's owned set of two of
+// four shards, a one-item delta rebuilds that item alone. Every other
+// item of the new generation shares its bucket storage with the
+// previous generation, every problem equals a cold Build, and the
+// receiver keeps its snapshots and problems.
+func TestShardedAdvanceRebuildsOneItem(t *testing.T) {
+	ds, snaps := incWorld(t, 7, 1)
+	day0 := snaps[0]
 	spec := model.RangeShards(4, day0.NumItems())
+	const lo, hi = 1, 3
+	needs := AccuFormatAttr{}.Needs()
+	sp, err := BuildSharded(ds, day0, nil, spec, lo, hi, needs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reprice the first claim of the first claimed item of shard 2.
+	var item model.ItemID = -1
+	var claims []model.Claim
+	for _, c := range day0.Claims {
+		if item < 0 && spec.ShardOf(c.Item) == 2 {
+			item = c.Item
+			c.Val = value.Num(c.Val.Num + 1000)
+		}
+		claims = append(claims, c)
+	}
+	day1 := model.NewSnapshot(day0.Day+1, "", day0.NumItems(), claims)
 	dl, err := day0.Diff(day1)
 	if err != nil {
 		t.Fatal(err)
@@ -207,46 +285,56 @@ func TestDistApplyShardDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []Method{Vote{}, Cosine{}, AccuPr{}, AccuFormatAttr{}} {
-		flat := m.Run(Build(ds, day1, nil, m.Needs()), Options{})
-		bounds := []int{0, 2, 4}
-		_, execs := distWorld(t, ds, day0, m, Options{}, spec, bounds)
-		// Advance each worker's owned shards with its slice of the split,
-		// then rebuild the executors (scores are per-run state) and re-run.
-		var peers []DistPeer
-		var nexecs []*DistExec
-		cps := make([]int, len(execs[0].cps))
-		var sps []*ShardedProblem
-		for w, e := range execs {
-			sp := e.Problem()
-			if err := sp.ApplyShardDeltas(split[bounds[w]:bounds[w+1]]); err != nil {
-				t.Fatalf("%s: ApplyShardDeltas: %v", m.Name(), err)
-			}
-			for s, c := range sp.ClaimsPerSource {
-				cps[s] += c
-			}
-			sps = append(sps, sp)
+	before := []*shardPart{sp.parts[0].carryForward(), sp.parts[1].carryForward()}
+
+	next, rb, err := sp.Advance(ds, split[lo:hi], 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.Dirty != 1 || rb.Shards != 1 || rb.Items[0] != nil || len(rb.Items[1]) != 1 {
+		t.Fatalf("rebuilt %v (%d items over %d shards), want one item of shard 2", rb.Items, rb.Dirty, rb.Shards)
+	}
+	for k, pt := range next.parts {
+		prev := before[k].p
+		if got := sp.parts[k]; got.snap != before[k].snap || got.p != prev {
+			t.Fatalf("shard %d: the receiver changed", lo+k)
 		}
-		for _, sp := range sps {
-			e, err := NewDistExec(sp, m, Options{}, cps)
-			if err != nil {
-				t.Fatal(err)
+		if k == 0 {
+			if pt.p != prev || pt.snap != before[k].snap {
+				t.Fatalf("untouched shard %d did not carry its problem forward", lo+k)
 			}
-			peers = append(peers, e)
-			nexecs = append(nexecs, e)
+			continue
 		}
-		dr, err := DistRun(m, Options{}, peers, len(DefaultRoster(ds)), len(ds.Attrs), cps)
+		shSnaps, err := day1.Shard(spec)
 		if err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
+			t.Fatal(err)
 		}
-		sameShardedResult(t, m.Name()+"/after-delta", flat, assembleDist(dr, nexecs))
+		sameProblem(t, fmt.Sprintf("shard %d", lo+k), pt.p, Build(ds, shSnaps[lo+k], nil, needs))
+		for i := range pt.p.Items {
+			it := &pt.p.Items[i]
+			rebuilt := i == rb.Items[k][0]
+			if rebuilt != (it.Item == item) {
+				t.Fatalf("shard %d rebuilt item %d, want item %d", lo+k, pt.p.Items[rb.Items[k][0]].Item, item)
+			}
+			shared := &it.Buckets[0] == &prev.Items[i].Buckets[0]
+			if shared == rebuilt {
+				t.Fatalf("shard %d item %d (rebuilt %v) shares bucket storage: %v", lo+k, it.Item, rebuilt, shared)
+			}
+			want := i
+			if rebuilt {
+				want = -1
+			}
+			if rb.PrevIdx[k][i] != want {
+				t.Fatalf("shard %d item %d aligned to %d, want %d", lo+k, i, rb.PrevIdx[k][i], want)
+			}
+		}
 	}
 }
 
-// TestApplyShardDeltasAllOrNothing: when one owned shard's delta fails,
-// no shard advances — the others keep their snapshots and the assembly
-// stays that of the old claims — and the same valid deltas still apply.
-func TestApplyShardDeltasAllOrNothing(t *testing.T) {
+// TestShardedAdvanceAllOrNothing: when one shard's delta fails, Advance
+// returns an error and no generation, the receiver keeps its snapshots
+// and assembly, and the same valid deltas still apply.
+func TestShardedAdvanceAllOrNothing(t *testing.T) {
 	ds, snaps := incWorld(t, 7, 2)
 	day0, day1 := snaps[0], snaps[1]
 	spec := model.RangeShards(2, day0.NumItems())
@@ -261,7 +349,7 @@ func TestApplyShardDeltasAllOrNothing(t *testing.T) {
 	if split[0].Empty() {
 		t.Fatal("no churn on shard 0")
 	}
-	sp, err := BuildShardedOwned(ds, day0, nil, spec, AccuPr{}.Needs(), 0, 2)
+	sp, err := BuildSharded(ds, day0, nil, spec, 0, 2, AccuPr{}.Needs(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +360,7 @@ func TestApplyShardDeltasAllOrNothing(t *testing.T) {
 	item := model.ItemID(day0.NumItems() - 1)
 	bad := &model.Delta{NumItems: day0.NumItems(), Retracted: []model.Claim{
 		{Source: 0, Item: item, Val: value.Num(-1), CopiedFrom: model.NoSource}}}
-	if err := sp.ApplyShardDeltas([]*model.Delta{split[0], bad}); err == nil {
+	if _, _, err := sp.Advance(ds, []*model.Delta{split[0], bad}, 0, false); err == nil {
 		t.Fatal("a failing shard delta was accepted")
 	}
 	for k, s := range snapsBefore {
@@ -281,9 +369,9 @@ func TestApplyShardDeltasAllOrNothing(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(sp.ClaimsPerSource, cpsBefore) {
-		t.Fatal("the failed apply changed the assembly")
+		t.Fatal("the failed advance changed the assembly")
 	}
-	if err := sp.ApplyShardDeltas([]*model.Delta{split[0], {NumItems: day0.NumItems()}}); err != nil {
+	if _, _, err := sp.Advance(ds, []*model.Delta{split[0], {NumItems: day0.NumItems()}}, 0, false); err != nil {
 		t.Fatalf("shard 0's delta no longer applies: %v", err)
 	}
 }

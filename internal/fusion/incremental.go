@@ -11,11 +11,12 @@ import (
 // one finished fusion run over a range-sharded problem — one shard is the
 // flat layout — and Advance moves it across a model.Delta: the delta is
 // routed to the item shards (Delta.Split; deltas partition cleanly by
-// item), each touched shard applies its slice and maintains its problem
-// incrementally (only dirty items are re-bucketized and get fresh
-// similarity/format structures; untouched shards carry over whole), and
-// the method re-runs on the round protocol's executor (dist.go), on the
-// cheapest path that preserves its contract:
+// item), ShardedProblem.Advance has each touched shard apply its slice
+// and maintain its problem incrementally (only dirty items are
+// re-bucketized and get fresh similarity/format structures; untouched
+// shards carry over whole), and the method re-runs on the round
+// protocol's executor (dist.go), on the cheapest path that preserves its
+// contract:
 //
 //   - item-local methods (VOTE) recompute only the dirty items;
 //   - with a positive TrustTolerance, the ACCU family re-runs the
@@ -28,7 +29,9 @@ import (
 // On the default zero tolerance every path is bit-identical to a cold
 // run on the target snapshot — a fresh Build and the same executor — so
 // the incremental win is the problem maintenance and the item-local
-// shortcut. The equivalence tests and the frozen advance digests
+// shortcut. A fleet worker (internal/dist) advances its owned shards
+// through the same ShardedProblem.Advance and re-runs the full
+// iteration with the coordinator. The equivalence tests and the frozen advance digests
 // (testdata/golden_digests.txt) assert it method by method, at one shard
 // and at many.
 
@@ -139,6 +142,83 @@ func (AccuFormatAttr) accuCfg() accuConfig {
 	return accuConfig{name: "AccuFormatAttr", sim: true, format: true, perAttr: true}
 }
 
+// ShardRebuilds records what one ShardedProblem.Advance rebuilt, shard
+// by shard.
+type ShardRebuilds struct {
+	// Items[k] lists the rebuilt item indices of shard k's new problem
+	// (none when shard k's delta was empty).
+	Items [][]int
+	// PrevIdx[k] maps shard k's new items onto its previous problem's,
+	// -1 for rebuilt ones (alignItems); nil aligns identically. Filled
+	// only when Advance is asked to align.
+	PrevIdx [][]int
+	// Dirty counts the rebuilt items, Shards the shards a delta touched.
+	Dirty, Shards int
+}
+
+// Advance returns the shard set's next generation across one delta
+// step: deltas[k] is part k's slice of a Delta.Split, the whole split in
+// one process or a worker's owned slice in a fleet. Each touched part
+// applies its slice and maintains its problem with UpdateProblem, so
+// only the dirty items are rebuilt; untouched parts keep their snapshot,
+// arena and recorded metadata. A delta that fails returns an error and
+// no generation. The receiver is left as it was: under a memory budget
+// its evicted arenas are rebuilt to be edited and dropped again, which
+// shows only in its residency counters. With align, each touched part's
+// new items are also mapped onto its previous problem's, while both
+// arenas are loaded; the item-local and warm paths read the map.
+func (sp *ShardedProblem) Advance(ds *model.Dataset, deltas []*model.Delta, parallelism int,
+	align bool) (ShardedProblem, ShardRebuilds, error) {
+
+	n := len(sp.parts)
+	if len(deltas) != n {
+		return ShardedProblem{}, ShardRebuilds{}, fmt.Errorf("fusion: %d shard deltas for %d shards", len(deltas), n)
+	}
+	needs := sp.needs
+	needs.Parallelism = parallelism
+	next := ShardedProblem{
+		Spec:        sp.Spec,
+		SourceIDs:   sp.SourceIDs,
+		NumAttrs:    sp.NumAttrs,
+		MaxResident: sp.MaxResident,
+		parts:       make([]*shardPart, n),
+		ds:          ds,
+		needs:       needs,
+	}
+	work := make([][]int, 2*n)
+	rb := ShardRebuilds{Items: work[:n:n], PrevIdx: work[n:]}
+	for k, pt := range sp.parts {
+		if deltas[k].Empty() {
+			// Untouched shard: carry the snapshot, the arena (when
+			// resident) and all recorded metadata forward — the day costs
+			// nothing here beyond the global re-assembly.
+			next.parts[k] = pt.carryForward()
+			continue
+		}
+		rb.Shards++
+		newSnap, err := pt.snap.Apply(deltas[k])
+		if err != nil {
+			return ShardedProblem{}, ShardRebuilds{}, fmt.Errorf("fusion: shard %d delta: %w", k, err)
+		}
+		prevP := sp.load(k)
+		p, rebuilt := UpdateProblem(ds, newSnap, prevP, deltas[k].DirtyItems(), needs)
+		npt := &shardPart{snap: newSnap, filter: pt.filter, resident: pt.resident}
+		recordPart(npt, p)
+		if npt.resident {
+			npt.p = p
+		}
+		rb.Items[k] = rebuilt
+		if align {
+			rb.PrevIdx[k] = alignItems(p, prevP, rebuilt)
+		}
+		rb.Dirty += len(rebuilt)
+		next.parts[k] = npt
+		sp.release(k)
+	}
+	next.finishAssembly()
+	return next, rb, nil
+}
+
 // Advance applies a delta to the state's shard set and re-fuses, reusing
 // as much of the previous state as the method's contract allows (see the
 // file comment). It returns a fresh state; the receiver stays valid, so
@@ -156,62 +236,17 @@ func (st *State) Advance(ds *model.Dataset, delta *model.Delta, opts Options,
 	if err != nil {
 		return nil, IncrementalStats{}, err
 	}
-
-	needs := sp.needs
-	needs.Parallelism = opts.Parallelism
-	out := &State{method: st.method}
-	next := &out.Sharded
-	*next = ShardedProblem{
-		Spec:        sp.Spec,
-		SourceIDs:   sp.SourceIDs,
-		NumAttrs:    sp.NumAttrs,
-		MaxResident: sp.MaxResident,
-		parts:       make([]*shardPart, len(sp.parts)),
-		ds:          ds,
-		needs:       needs,
-	}
-	stats := IncrementalStats{}
-	// rebuiltOf[k] lists the rebuilt item indices of shard k's new
-	// problem; prevIdxOf[k] aligns the new problem's items to the old
-	// one's (the item-local and warm paths read both; nil means the shard
-	// was untouched and aligns identically).
-	work := make([][]int, 2*len(sp.parts))
-	rebuiltOf, prevIdxOf := work[:len(sp.parts)], work[len(sp.parts):]
 	lm, isLocal := st.method.(ItemLocal)
 	_, isAccu := st.method.(accuConfigured)
 	warmable := isAccu && inc.TrustTolerance > 0
-	dirtyShards := 0
 
-	for k, pt := range sp.parts {
-		if deltas[k].Empty() {
-			// Untouched shard: carry the snapshot, the arena (when
-			// resident) and all recorded metadata forward — the day costs
-			// nothing here beyond the global re-assembly.
-			next.parts[k] = pt.carryForward()
-			continue
-		}
-		dirtyShards++
-		newSnap, err := pt.snap.Apply(deltas[k])
-		if err != nil {
-			return nil, IncrementalStats{}, err
-		}
-		prevP := sp.load(k)
-		p, rebuilt := UpdateProblem(ds, newSnap, prevP, deltas[k].DirtyItems(), needs)
-		npt := &shardPart{snap: newSnap, filter: pt.filter, resident: pt.resident}
-		recordPart(npt, p)
-		if npt.resident {
-			npt.p = p
-		}
-		rebuiltOf[k] = rebuilt
-		if isLocal || warmable {
-			prevIdxOf[k] = alignItems(p, prevP, rebuilt)
-		}
-		stats.DirtyItems += len(rebuilt)
-		next.parts[k] = npt
-		sp.release(k)
+	out := &State{method: st.method}
+	var rb ShardRebuilds
+	if out.Sharded, rb, err = sp.Advance(ds, deltas, opts.Parallelism, isLocal || warmable); err != nil {
+		return nil, IncrementalStats{}, err
 	}
-	next.finishAssembly()
-	stats.TotalItems = next.NumItems()
+	next := &out.Sharded
+	stats := IncrementalStats{DirtyItems: rb.Dirty, TotalItems: next.NumItems()}
 	start := time.Now()
 
 	// One shard is the flat layout, recorded without shard features.
@@ -220,7 +255,7 @@ func (st *State) Advance(ds *model.Dataset, delta *model.Delta, opts Options,
 	layout, resident := LayoutFlat, 0
 	if len(next.parts) > 1 {
 		layout, resident = LayoutSharded, next.MaxResident
-		features.DirtyShards, features.TotalShards = dirtyShards, len(next.parts)
+		features.DirtyShards, features.TotalShards = rb.Shards, len(next.parts)
 	}
 	out.plan = computePlan(inc.Planner, layout, planCaps{itemLocal: isLocal, warmable: warmable},
 		features, opts.Parallelism, resident)
@@ -240,15 +275,15 @@ func (st *State) Advance(ds *model.Dataset, delta *model.Delta, opts Options,
 			local := chosen[npt.base : npt.base+npt.n]
 			for i := range local {
 				pi := i
-				if prevIdxOf[k] != nil {
-					pi = prevIdxOf[k][i]
+				if rb.PrevIdx[k] != nil {
+					pi = rb.PrevIdx[k][i]
 				}
 				if pi >= 0 {
 					local[i] = st.Result.Chosen[prevBase+pi]
 				}
 			}
-			if len(rebuiltOf[k]) > 0 {
-				lm.RunItems(next.load(k), opts, rebuiltOf[k], local)
+			if len(rb.Items[k]) > 0 {
+				lm.RunItems(next.load(k), opts, rb.Items[k], local)
 				next.release(k)
 			}
 		}
@@ -269,7 +304,7 @@ func (st *State) Advance(ds *model.Dataset, delta *model.Delta, opts Options,
 			return nil, IncrementalStats{}, forcedPathError(plan.Path, st.method.Name())
 		}
 		if res, ok := runWarm(next, sp, st.method, opts, st.Result,
-			prevIdxOf, rebuiltOf, inc.TrustTolerance); ok {
+			rb.PrevIdx, rb.Items, inc.TrustTolerance); ok {
 			res.Elapsed = time.Since(start)
 			res.Plan = plan
 			out.Result = res

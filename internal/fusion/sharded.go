@@ -1,6 +1,7 @@
 package fusion
 
 import (
+	"fmt"
 	"unsafe"
 
 	"truthdiscovery/internal/model"
@@ -31,6 +32,11 @@ import (
 // Problem themselves, and every per-part structure aliases the problem's
 // own, so nothing is copied. Method.Run wraps its Problem the same way
 // (onePart).
+//
+// BuildSharded builds a run of the spec's shards (all of them in one
+// process, its owned range on a fleet worker), and
+// ShardedProblem.Advance (incremental.go) moves such a set across one
+// split delta, for the engine's State and the fleet workers alike.
 
 // shardPart is one shard's slot in a ShardedProblem: the shard snapshot,
 // the (possibly evicted) problem arena, and the stable per-shard
@@ -141,15 +147,23 @@ func (sp *ShardedProblem) ArenaBytes() (total, maxShard int64) {
 	return total, maxShard
 }
 
-// BuildSharded partitions the snapshot with the spec and builds one
-// problem per shard, keeping only claims by the given sources (nil =
-// all, as Build). maxResident > 0 bounds how many shard arenas stay
-// resident between passes.
+// BuildSharded partitions the snapshot with the spec and builds the
+// problems of shards [lo, hi), keeping only claims by the given sources
+// (nil = all, as Build). One process builds them all, [0, spec.Shards).
+// A fleet worker builds its owned run, a contiguous range of global
+// item order, so chaining the workers in shard order reproduces the
+// one-process fold association; its ClaimsPerSource covers the owned
+// shards only, and distributed runs read the coordinator's global sum
+// instead (NewDistExec). maxResident > 0 bounds how many shard arenas
+// stay resident between passes.
 func BuildSharded(ds *model.Dataset, snap *model.Snapshot, sources []model.SourceID,
-	spec model.ShardSpec, needs BuildOptions, maxResident int) (*ShardedProblem, error) {
+	spec model.ShardSpec, lo, hi int, needs BuildOptions, maxResident int) (*ShardedProblem, error) {
 
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	if lo < 0 || hi > spec.Shards || lo >= hi {
+		return nil, fmt.Errorf("fusion: shard range [%d, %d) outside [0, %d)", lo, hi, spec.Shards)
 	}
 	if sources == nil {
 		sources = DefaultRoster(ds)
@@ -166,7 +180,7 @@ func BuildSharded(ds *model.Dataset, snap *model.Snapshot, sources []model.Sourc
 		ds:          ds,
 		needs:       needs,
 	}
-	for k, shSnap := range snaps {
+	for k, shSnap := range snaps[lo:hi] {
 		p := Build(ds, shSnap, sources, needs)
 		pt := &shardPart{snap: shSnap}
 		recordPart(pt, p)
@@ -430,7 +444,7 @@ func FuseSharded(ds *model.Dataset, snap *model.Snapshot, sources []model.Source
 
 	needs := m.Needs()
 	needs.Parallelism = opts.Parallelism
-	sp, err := BuildSharded(ds, snap, sources, spec, needs, maxResident)
+	sp, err := BuildSharded(ds, snap, sources, spec, 0, spec.Shards, needs, maxResident)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -350,7 +350,7 @@ func TestShardedProblemShape(t *testing.T) {
 		model.RangeShards(1, snap.NumItems()),
 		model.RangeShards(4, snap.NumItems()),
 	} {
-		sp, err := BuildSharded(ds, snap, nil, spec,
+		sp, err := BuildSharded(ds, snap, nil, spec, 0, spec.Shards,
 			BuildOptions{NeedSimilarity: true, NeedFormat: true}, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -106,6 +106,16 @@ func (d *Dataset) SourceByName(name string) (Source, bool) {
 	return Source{}, false
 }
 
+// SourceNames returns the display names of a source roster, in roster
+// order.
+func (d *Dataset) SourceNames(roster []SourceID) []string {
+	names := make([]string, len(roster))
+	for i, id := range roster {
+		names[i] = d.Sources[id].Name
+	}
+	return names
+}
+
 // AttrByName returns the attribute with the given name.
 func (d *Dataset) AttrByName(name string) (Attribute, bool) {
 	for _, a := range d.Attrs {

@@ -69,7 +69,7 @@ func (r *Refresher) viewNow() *View {
 		Label:       r.label,
 		CreatedUnix: time.Now().Unix(),
 		SourceIDs:   roster,
-		SourceNames: sourceNamesFor(r.DS, roster),
+		SourceNames: r.DS.SourceNames(roster),
 		Trust:       res.Trust,
 		AttrTrust:   res.AttrTrust,
 		Answers:     answers,

@@ -139,15 +139,6 @@ func (v *View) Run(createdUnix int64) *store.Run {
 // object is unknown). The returned slice is shared and read-only.
 func (v *View) ObjectAnswers(key string) []int32 { return v.byObject[key] }
 
-// sourceNamesFor resolves a roster's display names from the dataset.
-func sourceNamesFor(ds *model.Dataset, roster []model.SourceID) []string {
-	names := make([]string, len(roster))
-	for i, id := range roster {
-		names[i] = ds.Sources[id].Name
-	}
-	return names
-}
-
 // EngineOptions mirror the execution knobs of the public FuseOptions
 // that configure a serving engine. Except for TrustTolerance (an
 // explicitly approximate knob) they are execution choices only —

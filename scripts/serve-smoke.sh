@@ -9,9 +9,11 @@
 # read-your-writes), SIGTERM graceful shutdown (exit 0 after draining
 # and flushing), and the flag validation both commands share: bad
 # combinations exit 2, not no-op. A second pass boots a -workers 2
-# distributed fleet, checks the merged answers and topology, kills one
-# shard worker to assert the enveloped 503, and waits for the
-# respawn/reattach recovery.
+# distributed fleet, checks the merged answers and topology, advances
+# the fleet with the same awaited claim (it must serve the
+# single-process answer), kills one shard worker to assert the
+# enveloped 503, and waits for the respawn/reattach recovery, whose
+# replay runs the worker's apply.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
@@ -23,6 +25,18 @@ cleanup() {
   rm -rf "$tmp"
 }
 trap cleanup EXIT
+
+# answer_of ADDR OBJECT ATTRIBUTE prints the served answer row of one
+# item as sorted-key JSON (empty when the item is not served).
+answer_of() {
+  curl -fsS "$1/v1/answers/$2" | python3 -c '
+import json, sys
+attr = sys.argv[1]
+for a in json.load(sys.stdin)["answers"]:
+    if a["attribute"] == attr:
+        print(json.dumps(a, sort_keys=True)); break
+' "$3"
+}
 
 $GO build -o "$tmp/truthserved" ./cmd/truthserved
 $GO build -o "$tmp/fuse" ./cmd/fuse
@@ -150,6 +164,9 @@ echo "$ack" | grep -q '"version":3' || {
   echo "serve-smoke: awaited claims post answered '$ack', want version 3" >&2; exit 1; }
 echo "$ack" | grep -q '"etag":' || {
   echo "serve-smoke: awaited claims post carried no etag: '$ack'" >&2; exit 1; }
+# The answer the fleet pass below must serve once it holds the same claims.
+ians=$(answer_of "$addr" "$iobj" "$iattr")
+[ -n "$ians" ] || { echo "serve-smoke: $iobj/$iattr not served after the awaited post" >&2; exit 1; }
 
 # The planner object is part of the stats contract: each ingest flush
 # above went through an engine advance, so /v1/stats must surface its
@@ -225,9 +242,25 @@ curl -fsS "$daddr/v1/stats" | grep -q '"mode":"distributed"'
 curl -fsS "$daddr/v1/stats" | grep -q '"coordinator"'
 curl -fsS "$daddr/v1/stats" | grep -q '"router"'
 
+# Advance the fleet: the awaited post that ended the single-process pass
+# publishes version 2 through every worker's apply, and the fleet then
+# serves the single-process answer for the same claims.
+dack=$(curl -fsS -X POST "$daddr/v1/claims?wait=1" \
+  -H 'Content-Type: application/json' \
+  -d "{\"claims\":[{\"source\":\"$src\",\"object\":\"$iobj\",\"attribute\":\"$iattr\",\"value\":\"67.89\"}]}")
+echo "$dack" | grep -q '"version":2' || {
+  echo "serve-smoke: awaited fleet claims post answered '$dack', want version 2" >&2; exit 1; }
+dians=$(answer_of "$daddr" "$iobj" "$iattr")
+if [ "$dians" != "$ians" ]; then
+  echo "serve-smoke: fleet served $iobj/$iattr = '$dians' after the post, single process '$ians'" >&2
+  exit 1
+fi
+
 # Kill worker 1: the affected reads answer the worker_unavailable
 # envelope, then the supervisor respawns and reattaches the worker and
-# the fleet serves whole merged answers again at a fresh version.
+# the fleet serves whole merged answers again at a fresh version. The
+# respawned worker comes back at day 0, so the reattach replays day
+# 0 -> 1 through its apply before the fleet republishes at version 3.
 pkill -9 -f -- '-dist-worker 1' || { echo "serve-smoke: no worker 1 process to kill" >&2; exit 1; }
 sleep 0.2
 curl -s "$daddr/v1/answers" | grep -q '"code":"worker_unavailable"' || {
@@ -244,11 +277,26 @@ done
   cat "$tmp/dist.log" >&2
   exit 1
 }
-grep -q 'worker 1 reattached' "$tmp/dist.log" || {
+ok=""
+for _ in $(seq 1 100); do
+  if grep -q 'worker 1 reattached' "$tmp/dist.log"; then ok=1; break; fi
+  sleep 0.1
+done
+[ -n "$ok" ] || {
   echo "serve-smoke: no reattach message in the distributed log" >&2
   cat "$tmp/dist.log" >&2
   exit 1
 }
+curl -fsS "$daddr/v1/stats" | python3 -c '
+import json, sys
+v = json.load(sys.stdin)["version"]
+assert v == 3, v
+' || { echo "serve-smoke: fleet not at version 3 after the reattach" >&2; exit 1; }
+dians=$(answer_of "$daddr" "$iobj" "$iattr")
+if [ "$dians" != "$ians" ]; then
+  echo "serve-smoke: fleet served $iobj/$iattr = '$dians' after the reattach, single process '$ians'" >&2
+  exit 1
+fi
 
 # SIGTERM the front: children are reaped and the exit is clean.
 kill -TERM "$pid"
@@ -266,4 +314,4 @@ grep -q 'shut down cleanly' "$tmp/dist.log" || {
   exit 1
 }
 
-echo "serve-smoke: OK ($obj/$attr = $want served from $addr; ingest + graceful shutdown + 2-worker fleet kill/recover verified)"
+echo "serve-smoke: OK ($obj/$attr = $want served from $addr; ingest + graceful shutdown + 2-worker fleet advance, kill/recover and replay verified)"
