@@ -180,7 +180,7 @@ func BenchmarkMethodEnsemble(b *testing.B) {
 	env := benchEnviron(b)
 	d := env.Stock()
 	p := d.Problem()
-	m := fusion.Ensemble{}
+	m := fusion.Ensemble()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -737,7 +737,8 @@ func BenchmarkPlannedAdvanceHighChurnForcedFull(b *testing.B) {
 // rest stay shared.
 func benchUpdateProblem(b *testing.B, ds *Dataset, snaps []*Snapshot, deltas []*Delta, fused []SourceID) {
 	b.Helper()
-	needs := fusion.AccuPr{}.Needs()
+	accuPr, _ := fusion.ByName("AccuPr")
+	needs := accuPr.Needs()
 	prev := fusion.Build(ds, snaps[0], fused, needs)
 	dirty := deltas[0].DirtyItems()
 	var rebuilt, items int

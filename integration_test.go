@@ -63,7 +63,8 @@ func TestEndToEndStock(t *testing.T) {
 	// Section 4: fusion beats VOTE; trust input helps.
 	p := fusion.Build(ds, snap, gen.FusedSources(),
 		fusion.BuildOptions{NeedSimilarity: true, NeedFormat: true})
-	vote := fusion.Evaluate(ds, p, (fusion.Vote{}).Run(p, fusion.Options{}), gld)
+	voteM, _ := fusion.ByName("Vote")
+	vote := fusion.Evaluate(ds, p, voteM.Run(p, fusion.Options{}), gld)
 	best, _ := fusion.ByName("AccuFormatAttr")
 	noTrust := fusion.Evaluate(ds, p, best.Run(p, fusion.Options{}), gld)
 	sampled := best.TrustScale(fusion.SampleAccuracy(ds, snap, p, gld))
@@ -95,7 +96,8 @@ func TestEndToEndFlight(t *testing.T) {
 
 	p := fusion.Build(ds, snap, gen.FusedSources(),
 		fusion.BuildOptions{NeedSimilarity: true, NeedFormat: true})
-	vote := fusion.Evaluate(ds, p, (fusion.Vote{}).Run(p, fusion.Options{}), gld)
+	voteM, _ := fusion.ByName("Vote")
+	vote := fusion.Evaluate(ds, p, voteM.Run(p, fusion.Options{}), gld)
 	if vote.Precision > 0.96 {
 		t.Fatalf("VOTE = %v; the copying cliques should cause visible damage", vote.Precision)
 	}

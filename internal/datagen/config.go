@@ -132,16 +132,6 @@ type Generated struct {
 	Profiles []SourceProfile
 }
 
-// IsFused reports whether source s participates in fusion.
-func (g *Generated) IsFused(s model.SourceID) bool {
-	for _, f := range g.Fused {
-		if f == s {
-			return true
-		}
-	}
-	return false
-}
-
 // Generator is the interface both domain simulators satisfy; the experiment
 // harness and public API work against it.
 type Generator interface {

@@ -240,15 +240,9 @@ func TestGeneratedBundles(t *testing.T) {
 	if len(gen.Dataset.Snapshots) != 3 || len(gen.Truths) != 3 {
 		t.Errorf("stock bundle: %d snapshots, %d truths", len(gen.Dataset.Snapshots), len(gen.Truths))
 	}
-	if !gen.IsFused(0) {
-		t.Error("stock source 0 should be fused")
-	}
 	fgen := GenerateFlight(smallFlight(1))
 	if len(fgen.Dataset.Snapshots) != 3 {
 		t.Errorf("flight snapshots = %d", len(fgen.Dataset.Snapshots))
-	}
-	if fgen.IsFused(0) {
-		t.Error("airline site should not be fused")
 	}
 	if gen.Dataset.Tolerances == nil || fgen.Dataset.Tolerances == nil {
 		t.Error("bundles should come with tolerances computed")

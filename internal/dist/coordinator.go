@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -229,7 +230,9 @@ func (c *Coordinator) runAndPublishLocked() (*serve.View, error) {
 // advance every worker's owned shards, re-run fusion from scratch and
 // publish. Distributed refreshes have no warm path — the contract is
 // the same bit-identity to flat Fuse of the advanced snapshot, bought
-// with a full re-run.
+// with a full re-run. A worker that fails to advance leaves the fleet at
+// the old day: the workers before it are rolled back, so the same delta
+// can be applied again once the worker is back (Reattach).
 func (c *Coordinator) Apply(dl *model.Delta) (*serve.View, fusion.IncrementalStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -250,7 +253,8 @@ func (c *Coordinator) Apply(dl *model.Delta) (*serve.View, fusion.IncrementalSta
 	for i, p := range c.peers {
 		resp, err := p.Apply(split[c.bounds[i]:c.bounds[i+1]])
 		if err != nil {
-			return nil, stats, fmt.Errorf("dist: advancing worker %d: %w", i, err)
+			err = fmt.Errorf("dist: advancing worker %d: %w", i, err)
+			return nil, stats, errors.Join(err, c.rollbackLocked(next, i))
 		}
 		for s, n := range resp.CPS {
 			cps[s] += n
@@ -264,6 +268,31 @@ func (c *Coordinator) Apply(dl *model.Delta) (*serve.View, fusion.IncrementalSta
 	}
 	v, err := c.runAndPublishLocked()
 	return v, stats, err
+}
+
+// rollbackLocked returns workers [0, failed), which advanced to next, to
+// the coordinator's base with the inverse delta. Workers validate every
+// payload and maintain their problems exactly like a fresh build, so the
+// rolled-back shards equal the ones they had.
+func (c *Coordinator) rollbackLocked(next *model.Snapshot, failed int) error {
+	if failed == 0 {
+		return nil
+	}
+	back, err := next.Diff(c.base)
+	if err != nil {
+		return fmt.Errorf("dist: rolling back: %w", err)
+	}
+	split, err := back.Split(c.cfg.Spec)
+	if err != nil {
+		return fmt.Errorf("dist: rolling back: %w", err)
+	}
+	var errs []error
+	for i, p := range c.peers[:failed] {
+		if _, err := p.Apply(split[c.bounds[i]:c.bounds[i+1]]); err != nil {
+			errs = append(errs, fmt.Errorf("dist: rolling back worker %d: %w", i, err))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // Reattach re-points worker i at a new address after a restart, replays

@@ -505,3 +505,68 @@ func TestWorkerApplyRejectsBadDelta(t *testing.T) {
 			resp.Day, resp.CPS, day1.Day, want.ClaimsPerSource)
 	}
 }
+
+// TestApplyRollsBackFailedWorker: a worker that is down mid-apply leaves
+// the whole fleet at the old day — the workers that advanced before it
+// are rolled back — so after the worker returns the same delta applies,
+// bit-identical to flat Fuse of the new day.
+func TestApplyRollsBackFailedWorker(t *testing.T) {
+	ds, snaps := world(t, 2)
+	spec := model.RangeShards(4, snaps[0].NumItems())
+	m, _ := fusion.ByName("AccuPr")
+	dirs := []string{t.TempDir(), t.TempDir()}
+	fl := newFleet(t, ds, snaps[0], m, spec, []int{0, 2, 4}, dirs, serve.NewServer())
+	if _, err := fl.coord.RunAndPublish(); err != nil {
+		t.Fatal(err)
+	}
+	dl, err := snaps[0].Diff(snaps[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Worker 1 goes down; its state stays at day 0.
+	fl.servers[1].Close()
+	if _, _, err := fl.coord.Apply(dl); err == nil {
+		t.Fatal("apply with worker 1 down succeeded")
+	}
+	if day := fl.coord.Base().Day; day != snaps[0].Day {
+		t.Fatalf("coordinator at day %d after the failed apply, want %d", day, snaps[0].Day)
+	}
+	d, err := fl.peers[0].Describe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Day != snaps[0].Day {
+		t.Fatalf("worker 0 at day %d after the failed apply, want %d", d.Day, snaps[0].Day)
+	}
+
+	// Worker 1 returns on a new listener, and the same delta applies.
+	ts := httptest.NewServer(fl.workers[1].Handler())
+	t.Cleanup(ts.Close)
+	if err := fl.coord.Reattach(1, ts.URL); err != nil {
+		t.Fatal(err)
+	}
+	v, _, err := fl.coord.Apply(dl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRes, wantAns := flatReference(ds, snaps[1], m)
+	sameBits(t, "retried trust", v.Trust, wantRes.Trust)
+	var got []fusion.Answer
+	for w, dir := range dirs {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := st.LoadCurrent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.Version != v.Version || run.Day != snaps[1].Day {
+			t.Fatalf("worker %d at version %d day %d, want version %d day %d",
+				w, run.Version, run.Day, v.Version, snaps[1].Day)
+		}
+		got = append(got, run.Answers...)
+	}
+	sameAnswers(t, "retried fleet answers", got, wantAns)
+}

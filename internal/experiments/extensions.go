@@ -25,7 +25,7 @@ func EnsembleExperiment(e *Env) *report.Report {
 			ev := fusion.Evaluate(d.DS, p, res, d.Gold)
 			t.AddRow("member: "+name, report.F3(ev.Precision))
 		}
-		ens := fusion.Ensemble{}.Run(p, d.FusionOpts(fusion.Options{}))
+		ens := fusion.Ensemble().Run(p, d.FusionOpts(fusion.Options{}))
 		ev := fusion.Evaluate(d.DS, p, ens, d.Gold)
 		t.AddRow("Ensemble (majority of members)", report.F3(ev.Precision))
 	}
@@ -75,7 +75,7 @@ func CategoryTrustExperiment(e *Env) *report.Report {
 	p := d.Problem()
 	t := r.NewTable(fmt.Sprintf("%s (categories: airlines)", d.Name), "Method", "Precision")
 	for _, m := range []fusion.Method{
-		mustMethod("AccuSim"), fusion.AccuSimCat{}, mustMethod("AccuSimAttr"),
+		mustMethod("AccuSim"), mustMethod("AccuSimCat"), mustMethod("AccuSimAttr"),
 	} {
 		res := m.Run(p, d.FusionOpts(fusion.Options{}))
 		ev := fusion.Evaluate(d.DS, p, res, d.Gold)
@@ -86,12 +86,17 @@ func CategoryTrustExperiment(e *Env) *report.Report {
 	return r
 }
 
+// mustMethod resolves a paper or extension method by name.
 func mustMethod(name string) fusion.Method {
-	m, ok := fusion.ByName(name)
-	if !ok {
-		panic("unknown method " + name)
+	if m, ok := fusion.ByName(name); ok {
+		return m
 	}
-	return m
+	for _, m := range fusion.ExtensionMethods() {
+		if m.Name() == name {
+			return m
+		}
+	}
+	panic("unknown method " + name)
 }
 
 // SourceSelectionExperiment answers "can we automatically select a subset

@@ -103,7 +103,7 @@ func TestTableRefillsAllocationFree(t *testing.T) {
 
 	trust := initTrust(n, nil, 0.8)
 	at := &accuTrust{global: trust}
-	tab := newAccuTables(n, 0, opts, accuConfig{name: "AccuPr"})
+	tab := newAccuTables(n, 0, opts, accuConfig{})
 	if a := testing.AllocsPerRun(10, func() { tab.update(at) }); a != 0 {
 		t.Errorf("accuTables.update (global) allocated %.1f objects per round, want 0", a)
 	}
@@ -113,7 +113,7 @@ func TestTableRefillsAllocationFree(t *testing.T) {
 		byKey[s] = []float64{0.8, 0.7, 0.9}
 	}
 	kat := &accuTrust{keyed: true, byKey: byKey}
-	ktab := newAccuTables(n, 3, opts, accuConfig{name: "AccuSimAttr", perAttr: true})
+	ktab := newAccuTables(n, 3, opts, accuConfig{perAttr: true})
 	if a := testing.AllocsPerRun(10, func() { ktab.update(kat) }); a != 0 {
 		t.Errorf("accuTables.update (keyed) allocated %.1f objects per round, want 0", a)
 	}
@@ -135,21 +135,13 @@ func TestTableRefillsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestVoteAllocationProfile: VOTE's warm path is the incremental
-// RunItems, which must not allocate at all; its full Run allocates only
-// the chosen vector and the Result.
+// TestVoteAllocationProfile: VOTE's Run allocates only the chosen vector
+// and the Result.
 func TestVoteAllocationProfile(t *testing.T) {
 	p := allocProblem(t)
-	idx := make([]int, len(p.Items))
-	for i := range idx {
-		idx[i] = i
-	}
-	chosen := make([]int32, len(p.Items))
 	opts := Options{Parallelism: 1}
-	if a := testing.AllocsPerRun(10, func() { Vote{}.RunItems(p, opts, idx, chosen) }); a != 0 {
-		t.Errorf("Vote.RunItems allocated %.1f objects per run, want 0", a)
-	}
-	if a := testing.AllocsPerRun(10, func() { Vote{}.Run(p, opts) }); a > 2 {
+	vote := methodNamed("Vote")
+	if a := testing.AllocsPerRun(10, func() { vote.Run(p, opts) }); a > 2 {
 		t.Errorf("Vote.Run allocated %.1f objects per run, want <= 2 (chosen + Result)", a)
 	}
 }
@@ -263,7 +255,7 @@ func TestBuildArenaMatchesJagged(t *testing.T) {
 func TestBuildAllocsIndependentOfItems(t *testing.T) {
 	allocs := func(objects int) float64 {
 		ds, snaps := incWorldSized(t, 5, 1, objects)
-		return testing.AllocsPerRun(3, func() { Build(ds, snaps[0], nil, AccuPr{}.Needs()) })
+		return testing.AllocsPerRun(3, func() { Build(ds, snaps[0], nil, methodNamed("AccuPr").Needs()) })
 	}
 	small, large := allocs(120), allocs(480)
 	if large != small {

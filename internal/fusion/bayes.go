@@ -8,18 +8,6 @@ import "math"
 // dist.go) parameterised by which insights are enabled (accuConfig),
 // mirroring how the paper derives each method from ACCUPR.
 
-// TruthFinder (Yin et al.) scores a value by the accumulated
-// -ln(1 - trust) of its providers, boosts the score with similar values'
-// scores, and squashes it into a confidence via a logistic with damping
-// factor gamma.
-type TruthFinder struct{ identityScale }
-
-// Name implements Method.
-func (TruthFinder) Name() string { return "TruthFinder" }
-
-// Needs implements Method.
-func (TruthFinder) Needs() BuildOptions { return BuildOptions{NeedSimilarity: true} }
-
 // TruthFinder constants from Yin et al.: rho weights similar values' votes,
 // gamma dampens the logistic, and initial trust is 0.9.
 const (
@@ -29,102 +17,14 @@ const (
 	tfMaxTau  = 0.999999
 )
 
-// Run implements Method.
-func (TruthFinder) Run(p *Problem, opts Options) *Result { return runOnePart(p, TruthFinder{}, opts) }
-
 // accuConfig selects the insights an ACCU-family run uses.
 type accuConfig struct {
-	name       string
 	popularity bool // POPACCU: observed false-value popularity
 	sim        bool // value similarity boost
 	format     bool // format subsumption boost
 	perAttr    bool // per-attribute trust
 	perCat     bool // per-object-category trust (Section 5 extension)
 	copies     bool // ACCUCOPY copy detection (the executor's detect step)
-}
-
-// AccuPr applies Bayesian analysis with N uniformly distributed false
-// values: a source's vote count is ln(N*A/(1-A)) and the value
-// probabilities are normalised per item (Dong et al.).
-type AccuPr struct{ identityScale }
-
-// Name implements Method.
-func (AccuPr) Name() string { return "AccuPr" }
-
-// Needs implements Method.
-func (AccuPr) Needs() BuildOptions { return BuildOptions{} }
-
-// Run implements Method.
-func (AccuPr) Run(p *Problem, opts Options) *Result { return runOnePart(p, AccuPr{}, opts) }
-
-// PopAccu replaces ACCUPR's uniform-false-value assumption with the
-// observed popularity of false values, which keeps popular copied errors
-// from inflating their providers' trust.
-type PopAccu struct{ identityScale }
-
-// Name implements Method.
-func (PopAccu) Name() string { return "PopAccu" }
-
-// Needs implements Method.
-func (PopAccu) Needs() BuildOptions { return BuildOptions{} }
-
-// Run implements Method.
-func (PopAccu) Run(p *Problem, opts Options) *Result { return runOnePart(p, PopAccu{}, opts) }
-
-// AccuSim augments ACCUPR with the value-similarity boost of TRUTHFINDER.
-type AccuSim struct{ identityScale }
-
-// Name implements Method.
-func (AccuSim) Name() string { return "AccuSim" }
-
-// Needs implements Method.
-func (AccuSim) Needs() BuildOptions { return BuildOptions{NeedSimilarity: true} }
-
-// Run implements Method.
-func (AccuSim) Run(p *Problem, opts Options) *Result { return runOnePart(p, AccuSim{}, opts) }
-
-// AccuFormat augments ACCUSIM with format subsumption: the provider of
-// "8M" is a partial provider of 7,528,396.
-type AccuFormat struct{ identityScale }
-
-// Name implements Method.
-func (AccuFormat) Name() string { return "AccuFormat" }
-
-// Needs implements Method.
-func (AccuFormat) Needs() BuildOptions {
-	return BuildOptions{NeedSimilarity: true, NeedFormat: true}
-}
-
-// Run implements Method.
-func (AccuFormat) Run(p *Problem, opts Options) *Result { return runOnePart(p, AccuFormat{}, opts) }
-
-// AccuSimAttr is ACCUSIM with per-attribute source trust.
-type AccuSimAttr struct{ identityScale }
-
-// Name implements Method.
-func (AccuSimAttr) Name() string { return "AccuSimAttr" }
-
-// Needs implements Method.
-func (AccuSimAttr) Needs() BuildOptions { return BuildOptions{NeedSimilarity: true} }
-
-// Run implements Method.
-func (AccuSimAttr) Run(p *Problem, opts Options) *Result { return runOnePart(p, AccuSimAttr{}, opts) }
-
-// AccuFormatAttr is ACCUFORMAT with per-attribute source trust — the
-// paper's strongest method on the Stock snapshot.
-type AccuFormatAttr struct{ identityScale }
-
-// Name implements Method.
-func (AccuFormatAttr) Name() string { return "AccuFormatAttr" }
-
-// Needs implements Method.
-func (AccuFormatAttr) Needs() BuildOptions {
-	return BuildOptions{NeedSimilarity: true, NeedFormat: true}
-}
-
-// Run implements Method.
-func (AccuFormatAttr) Run(p *Problem, opts Options) *Result {
-	return runOnePart(p, AccuFormatAttr{}, opts)
 }
 
 // accuTrust holds global accuracies or accuracies keyed by attribute or

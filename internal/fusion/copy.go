@@ -8,35 +8,9 @@ import (
 	"truthdiscovery/internal/value"
 )
 
-// AccuCopy augments ACCUFORMAT with copy awareness: every round it runs
-// pairwise Bayesian copy detection against the current truth assignment and
-// discounts each claim's vote by the probability that the claim was made
-// independently (Dong et al.).
-//
-// With KnownGroups supplied (the paper's "prec w. trust" setting), detection
-// is skipped and all group members except one representative are ignored.
-//
-// The paper's headline caveat is reproduced faithfully: on numeric data the
-// detector treats values highly similar to the truth as false, flags honest
-// sources as copiers, and can hurt precision (Stock), while on the Flight
-// data it is the best method. Options.CopyDetectSimilarityAware enables the
-// Section 5 fix.
-type AccuCopy struct{ identityScale }
-
-// Name implements Method.
-func (AccuCopy) Name() string { return "AccuCopy" }
-
-// Needs implements Method.
-func (AccuCopy) Needs() BuildOptions {
-	return BuildOptions{NeedSimilarity: true, NeedFormat: true}
-}
-
 // copyVoteRate is the discount applied per detected copier ordering (the
 // c parameter weighting dependence probabilities in vote counts).
 const copyVoteRate = 0.8
-
-// Run implements Method.
-func (AccuCopy) Run(p *Problem, opts Options) *Result { return runOnePart(p, AccuCopy{}, opts) }
 
 // detectCopies is ACCUCOPY's detection step: one copy-detection
 // observation per item of sp, built from the current choices and

@@ -218,7 +218,7 @@ func coldOptions(w digestWorld, m Method) []digestOpts {
 		{"seed", Options{InitialTrust: m.TrustScale(w.seed)}},
 		{"rounds1", Options{MaxRounds: 1}},
 	}
-	if _, ok := m.(AccuCopy); ok {
+	if m.cfg.copies {
 		sets = append(sets,
 			digestOpts{"knowngroups", Options{KnownGroups: w.groups}},
 			digestOpts{"simaware", Options{CopyDetectSimilarityAware: true}},
@@ -257,7 +257,7 @@ func TestGoldenDigests(t *testing.T) {
 			}
 		}
 
-		p := Build(w.ds, w.snap, w.fused, AccuCopy{}.Needs())
+		p := Build(w.ds, w.snap, w.fused, methodNamed("AccuCopy").Needs())
 		chosen := make([]int32, len(p.Items)) // the dominant values
 		for _, o := range []digestOpts{
 			{"default", Options{}},

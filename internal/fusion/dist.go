@@ -60,11 +60,13 @@ type DistPeer interface {
 	Fold(fold int, trust []float64, byKey [][]float64, acc [][]float64) ([][]float64, error)
 }
 
-// distKind selects a method's phase/fold kernels and round loop.
+// distKind selects a method's phase/fold kernels and round loop. The
+// zero kind is no method's: the zero Method has no round program.
 type distKind int
 
 const (
-	dkVote distKind = iota
+	_ distKind = iota
+	dkVote
 	dkHub
 	dkAvgLog
 	dkInvest
@@ -74,40 +76,10 @@ const (
 	dkThreeEst
 	dkTF
 	dkAccu
+	// dkEnsemble composes whole member runs and has no round program of
+	// its own (ShardedProblem.Run votes over its members).
+	dkEnsemble
 )
-
-// methodKind maps a method to its executor wiring. Ensemble composes
-// whole runs and has none (ShardedProblem.Run votes over its members).
-func methodKind(m Method) (distKind, accuConfig, error) {
-	switch m.(type) {
-	case Vote:
-		return dkVote, accuConfig{}, nil
-	case Hub:
-		return dkHub, accuConfig{}, nil
-	case AvgLog:
-		return dkAvgLog, accuConfig{}, nil
-	case Invest:
-		return dkInvest, accuConfig{}, nil
-	case PooledInvest:
-		return dkPooledInvest, accuConfig{}, nil
-	case Cosine:
-		return dkCosine, accuConfig{}, nil
-	case TwoEstimates:
-		return dkTwoEst, accuConfig{}, nil
-	case ThreeEstimates:
-		return dkThreeEst, accuConfig{}, nil
-	case TruthFinder:
-		return dkTF, accuConfig{}, nil
-	case AccuCopy:
-		return dkAccu, accuConfig{name: "AccuCopy", sim: true, format: true, copies: true}, nil
-	case AccuSimCat:
-		return dkAccu, accuConfig{name: "AccuSimCat", sim: true, perCat: true}, nil
-	}
-	if ac, ok := m.(accuConfigured); ok {
-		return dkAccu, ac.accuCfg(), nil
-	}
-	return 0, accuConfig{}, fmt.Errorf("fusion: method %s has no round program", m.Name())
-}
 
 // errNoSplit is DistCheck's one refusal.
 var errNoSplit = errors.New("cannot run split across workers: AccuCopy, KnownGroups, AccuSimCat and Ensemble need every item in one process")
@@ -120,8 +92,7 @@ var errNoSplit = errors.New("cannot run split across workers: AccuCopy, KnownGro
 // InputAttrTrust, InitialTrust) is fine — the coordinator's loop holds
 // the trust.
 func DistCheck(m Method, opts Options) error {
-	_, cfg, err := methodKind(m)
-	if err != nil || cfg.copies || cfg.perCat || opts.KnownGroups != nil {
+	if wholeRun(m) || opts.KnownGroups != nil {
 		return fmt.Errorf("fusion: %s %w", m.Name(), errNoSplit)
 	}
 	return nil
@@ -247,17 +218,16 @@ func NewDistExec(sp *ShardedProblem, m Method, opts Options, globalCPS []int) (*
 // are phased, and the ACCU posterior rows come from seedWarm instead of
 // a cold arena.
 func newExec(sp *ShardedProblem, m Method, opts Options, cps []int, dirty [][]int) (*DistExec, error) {
-	kind, cfg, err := methodKind(m)
-	if err != nil {
-		return nil, err
+	if m.kind == 0 || m.kind == dkEnsemble {
+		return nil, fmt.Errorf("fusion: method %q has no round program", m.name)
 	}
 	opts = opts.withDefaults()
-	e := &DistExec{sp: sp, kind: kind, cfg: cfg, opts: opts, name: m.Name(), cps: cps, dirty: dirty}
+	e := &DistExec{sp: sp, kind: m.kind, cfg: m.cfg, opts: opts, name: m.name, cps: cps, dirty: dirty}
 	if e.cps == nil {
 		e.cps = sp.ClaimsPerSource
 	}
 	n := len(sp.SourceIDs)
-	switch kind {
+	switch m.kind {
 	case dkVote:
 		// The dominant bucket is bucket 0; no rounds, no state.
 		return e, nil
@@ -282,8 +252,8 @@ func newExec(sp *ShardedProblem, m Method, opts Options, cps []int, dirty [][]in
 	case dkAccu:
 		e.temps = sp.newPartTemps(opts.Parallelism)
 		e.resolveKeys()
-		e.tables = newAccuTables(n, e.numKeys, opts, cfg)
-		if cfg.popularity {
+		e.tables = newAccuTables(n, e.numKeys, opts, m.cfg)
+		if m.cfg.popularity {
 			e.popTabs = make([]*popTable, len(sp.parts))
 		}
 		e.probs = make([][]float64, sp.NumItems())
@@ -299,7 +269,7 @@ func newExec(sp *ShardedProblem, m Method, opts Options, cps []int, dirty [][]in
 				e.probs[pt.base+i] = flat[pt.off[i]:pt.off[i+1]:pt.off[i+1]]
 			}
 		}
-		if cfg.copies {
+		if m.cfg.copies {
 			// Seed the posteriors with provider shares (the VOTE prior) so
 			// the first detection round sees sensible uncertainty. Plain
 			// runs skip the pass: round 1 rewrites every row before any
@@ -1058,14 +1028,13 @@ func DistRun(m Method, opts Options, peers []DistPeer, n, numAttrs int, cps []in
 	if len(peers) == 0 {
 		return nil, fmt.Errorf("fusion: distributed %s needs at least one worker", m.Name())
 	}
-	kind, cfg, _ := methodKind(m)
 	numKeys := 0
-	if cfg.perAttr {
+	if m.cfg.perAttr {
 		numKeys = numAttrs
 	}
 	start := time.Now()
-	d := newDistDriver(peers, opts.withDefaults(), m.Name())
-	if err := d.run(kind, cfg, n, numKeys, cps); err != nil {
+	d := newDistDriver(peers, opts.withDefaults(), m.name)
+	if err := d.run(m.kind, m.cfg, n, numKeys, cps); err != nil {
 		return nil, err
 	}
 	d.res.Elapsed = time.Since(start)

@@ -142,23 +142,23 @@ func TestDistRunRejectsOfflineOptions(t *testing.T) {
 		opts  Options
 		split bool
 	}{
-		{"AccuCopy", AccuCopy{}, Options{}, false},
-		{"KnownGroups", AccuPr{}, Options{KnownGroups: [][]model.SourceID{{0, 1}}}, false},
-		{"AccuSimCat", AccuSimCat{}, Options{}, false},
-		{"Ensemble", Ensemble{}, Options{}, false},
-		{"AccuPr/InputTrust", AccuPr{}, Options{InputTrust: input}, true},
-		{"AccuPr/InitialTrust", AccuPr{}, Options{InitialTrust: input}, true},
-		{"AccuFormatAttr/InputAttrTrust", AccuFormatAttr{}, Options{InputAttrTrust: attr}, true},
-		{"AccuFormatAttr/InputTrust", AccuFormatAttr{}, Options{InputTrust: input}, true},
-		{"Hub/InputTrust", Hub{}, Options{InputTrust: input}, true},
-		{"3-Estimates/InputTrust", ThreeEstimates{}, Options{InputTrust: input}, true},
-		{"TruthFinder/InputTrust", TruthFinder{}, Options{InputTrust: input}, true},
+		{"AccuCopy", methodNamed("AccuCopy"), Options{}, false},
+		{"KnownGroups", methodNamed("AccuPr"), Options{KnownGroups: [][]model.SourceID{{0, 1}}}, false},
+		{"AccuSimCat", methodNamed("AccuSimCat"), Options{}, false},
+		{"Ensemble", Ensemble(), Options{}, false},
+		{"AccuPr/InputTrust", methodNamed("AccuPr"), Options{InputTrust: input}, true},
+		{"AccuPr/InitialTrust", methodNamed("AccuPr"), Options{InitialTrust: input}, true},
+		{"AccuFormatAttr/InputAttrTrust", methodNamed("AccuFormatAttr"), Options{InputAttrTrust: attr}, true},
+		{"AccuFormatAttr/InputTrust", methodNamed("AccuFormatAttr"), Options{InputTrust: input}, true},
+		{"Hub/InputTrust", methodNamed("Hub"), Options{InputTrust: input}, true},
+		{"3-Estimates/InputTrust", methodNamed("3-Estimates"), Options{InputTrust: input}, true},
+		{"TruthFinder/InputTrust", methodNamed("TruthFinder"), Options{InputTrust: input}, true},
 	} {
 		if !tc.split {
 			if _, err := DistRun(tc.m, tc.opts, nil, n, numAttrs, nil); !errors.Is(err, errNoSplit) {
 				t.Fatalf("%s: DistRun error %v, want the capability error", tc.name, err)
 			}
-			sp, err := BuildSharded(ds, snap, nil, spec, 0, 4, AccuCopy{}.Needs(), 0)
+			sp, err := BuildSharded(ds, snap, nil, spec, 0, 4, methodNamed("AccuCopy").Needs(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +185,7 @@ func TestBuildShardedNeedsRange(t *testing.T) {
 	ds, snaps := incWorld(t, 5, 1)
 	rs := model.RangeShards(2, snaps[0].NumItems())
 	for _, r := range [][2]int{{1, 1}, {-1, 1}, {1, 3}} {
-		if _, err := BuildSharded(ds, snaps[0], nil, rs, r[0], r[1], AccuPr{}.Needs(), 0); err == nil {
+		if _, err := BuildSharded(ds, snaps[0], nil, rs, r[0], r[1], methodNamed("AccuPr").Needs(), 0); err == nil {
 			t.Fatalf("BuildSharded accepted the shard range [%d, %d) of 2 shards", r[0], r[1])
 		}
 	}
@@ -209,7 +209,7 @@ func TestDistAdvanceChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, m := range []Method{Vote{}, Cosine{}, AccuPr{}, AccuFormatAttr{}} {
+	for _, m := range []Method{methodNamed("Vote"), methodNamed("Cosine"), methodNamed("AccuPr"), methodNamed("AccuFormatAttr")} {
 		_, execs := distWorld(t, ds, snaps[0], m, Options{}, spec, bounds)
 		sps := make([]*ShardedProblem, len(execs))
 		for w, e := range execs {
@@ -261,7 +261,7 @@ func TestShardedAdvanceRebuildsOneItem(t *testing.T) {
 	day0 := snaps[0]
 	spec := model.RangeShards(4, day0.NumItems())
 	const lo, hi = 1, 3
-	needs := AccuFormatAttr{}.Needs()
+	needs := methodNamed("AccuFormatAttr").Needs()
 	sp, err := BuildSharded(ds, day0, nil, spec, lo, hi, needs, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +349,7 @@ func TestShardedAdvanceAllOrNothing(t *testing.T) {
 	if split[0].Empty() {
 		t.Fatal("no churn on shard 0")
 	}
-	sp, err := BuildSharded(ds, day0, nil, spec, 0, 2, AccuPr{}.Needs(), 0)
+	sp, err := BuildSharded(ds, day0, nil, spec, 0, 2, methodNamed("AccuPr").Needs(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

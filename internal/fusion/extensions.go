@@ -1,7 +1,6 @@
 package fusion
 
-// This file implements the future-work directions of the paper's Section 5
-// as working methods:
+// The paper's Section 5 future-work directions, implemented:
 //
 //   - Ensemble — "Can we combine the results of different fusion models to
 //     get better results?"
@@ -11,68 +10,11 @@ package fusion
 //   - AccuSimCat — "data from one source may have different quality for
 //     data items of different categories; for example, a source may provide
 //     precise data for UA flights but low-quality data for AA-flights."
+//   - SelectSources — automatic source selection.
 //
-// They are not part of the paper's evaluated roster (Methods()); use
-// ExtensionMethods() or construct them directly.
-
-// Ensemble runs several member methods and takes a majority vote over
-// their chosen values, breaking ties toward the value with more providers
-// (i.e. toward VOTE).
-type Ensemble struct {
-	identityScale
-	// Members are the method names to combine. Empty uses DefaultEnsemble.
-	Members []string
-}
-
-// DefaultEnsemble combines one strong method per category of Table 6.
-var DefaultEnsemble = []string{"Hub", "Cosine", "TruthFinder", "AccuFormatAttr", "PopAccu"}
-
-// Name implements Method.
-func (e Ensemble) Name() string { return "Ensemble" }
-
-// Needs implements Method: the union of all members' needs.
-func (e Ensemble) Needs() BuildOptions {
-	needs := BuildOptions{}
-	for _, name := range e.members() {
-		if m, ok := ByName(name); ok {
-			mn := m.Needs()
-			needs.NeedSimilarity = needs.NeedSimilarity || mn.NeedSimilarity
-			needs.NeedFormat = needs.NeedFormat || mn.NeedFormat
-		}
-	}
-	return needs
-}
-
-func (e Ensemble) members() []string {
-	if len(e.Members) > 0 {
-		return e.Members
-	}
-	return DefaultEnsemble
-}
-
-// Run implements Method: the members run on the round executor, and the
-// per-item majority vote is ensembleSharded's.
-func (e Ensemble) Run(p *Problem, opts Options) *Result { return runOnePart(p, e, opts) }
-
-// AccuSimCat is ACCUSIM with trust distinguished per object category (the
-// object's Group: the operating airline for flights), the paper's
-// per-category quality suggestion.
-type AccuSimCat struct{ identityScale }
-
-// Name implements Method.
-func (AccuSimCat) Name() string { return "AccuSimCat" }
-
-// Needs implements Method.
-func (AccuSimCat) Needs() BuildOptions { return BuildOptions{NeedSimilarity: true} }
-
-// Run implements Method.
-func (AccuSimCat) Run(p *Problem, opts Options) *Result { return runOnePart(p, AccuSimCat{}, opts) }
-
-// ExtensionMethods returns the Section 5 extension methods (not part of the
-// paper's evaluated roster).
-func ExtensionMethods() []Method {
-	return []Method{Ensemble{}, AccuSimCat{}}
-}
+// Ensemble and AccuSimCat are methods (methods.go) outside the paper's
+// evaluated roster (Methods()); ExtensionMethods() returns them. SeedTrust
+// and SelectSources live here.
 
 // SeedTrust estimates per-source trustworthiness from the items whose data
 // are "fairly consistent": items whose dominant value holds at least

@@ -10,7 +10,7 @@ import (
 func TestEnsembleAgreesOnEasyData(t *testing.T) {
 	sc := honestMajorityScenario(t)
 	p := Build(sc.ds, sc.snap, nil, BuildOptions{NeedSimilarity: true, NeedFormat: true})
-	res := Ensemble{}.Run(p, Options{})
+	res := Ensemble().Run(p, Options{})
 	ev := Evaluate(sc.ds, p, res, sc.gold)
 	if ev.Precision != 1 {
 		t.Errorf("ensemble precision = %v on honest-majority data", ev.Precision)
@@ -18,7 +18,7 @@ func TestEnsembleAgreesOnEasyData(t *testing.T) {
 	if res.Trust == nil {
 		t.Error("ensemble should report mean member trust")
 	}
-	needs := Ensemble{}.Needs()
+	needs := Ensemble().Needs()
 	if !needs.NeedSimilarity || !needs.NeedFormat {
 		t.Error("default ensemble should need similarity and format structures")
 	}
@@ -29,15 +29,15 @@ func TestEnsembleMajorityOverrulesOneMember(t *testing.T) {
 	p := Build(sc.ds, sc.snap, nil, BuildOptions{NeedSimilarity: true, NeedFormat: true})
 	// Vote errs on the contested items; an ensemble of trust-aware methods
 	// plus Vote should side with the trust-aware majority.
-	e := Ensemble{Members: []string{"Vote", "AccuPr", "TruthFinder"}}
+	e := Ensemble("Vote", "AccuPr", "TruthFinder")
 	res := e.Run(p, Options{})
 	ev := Evaluate(sc.ds, p, res, sc.gold)
-	vote := Evaluate(sc.ds, p, (Vote{}).Run(p, Options{}), sc.gold)
+	vote := Evaluate(sc.ds, p, methodNamed("Vote").Run(p, Options{}), sc.gold)
 	if ev.Precision < vote.Precision {
 		t.Errorf("ensemble (%v) should not trail VOTE (%v)", ev.Precision, vote.Precision)
 	}
 	// Unknown members are skipped gracefully.
-	odd := Ensemble{Members: []string{"Vote", "NoSuchMethod"}}
+	odd := Ensemble("Vote", "NoSuchMethod")
 	if r := odd.Run(p, Options{}); len(r.Chosen) != len(p.Items) {
 		t.Error("ensemble with unknown member should still produce answers")
 	}
@@ -58,8 +58,8 @@ func TestSeedTrust(t *testing.T) {
 		}
 	}
 	// Seeding the iteration must not hurt AccuPr here.
-	plain := Evaluate(sc.ds, p, (AccuPr{}).Run(p, Options{}), sc.gold)
-	seeded := Evaluate(sc.ds, p, (AccuPr{}).Run(p, Options{InitialTrust: seed}), sc.gold)
+	plain := Evaluate(sc.ds, p, methodNamed("AccuPr").Run(p, Options{}), sc.gold)
+	seeded := Evaluate(sc.ds, p, methodNamed("AccuPr").Run(p, Options{InitialTrust: seed}), sc.gold)
 	if seeded.Precision < plain.Precision {
 		t.Errorf("seeded AccuPr (%v) worse than default (%v)", seeded.Precision, plain.Precision)
 	}
@@ -169,8 +169,8 @@ func TestAccuSimCatIsolation(t *testing.T) {
 		t.Fatalf("categories = %v", p.CatNames)
 	}
 
-	cat := Evaluate(ds, p, (AccuSimCat{}).Run(p, Options{}), gld)
-	global := Evaluate(ds, p, (AccuSim{}).Run(p, Options{}), gld)
+	cat := Evaluate(ds, p, methodNamed("AccuSimCat").Run(p, Options{}), gld)
+	global := Evaluate(ds, p, methodNamed("AccuSim").Run(p, Options{}), gld)
 	if cat.Precision <= global.Precision {
 		t.Errorf("per-category trust (%v) should beat global trust (%v) on split-personality sources",
 			cat.Precision, global.Precision)

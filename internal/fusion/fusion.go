@@ -559,59 +559,6 @@ type Result struct {
 	Plan *Plan
 }
 
-// Method is one fusion algorithm.
-type Method interface {
-	Name() string
-	// Needs declares the auxiliary structures the method reads.
-	Needs() BuildOptions
-	// Run executes the method on a problem.
-	Run(p *Problem, opts Options) *Result
-	// TrustScale converts gold-standard source accuracy into the method's
-	// trust scale (for sampled-trust input and deviation reporting).
-	TrustScale(accuracy []float64) []float64
-}
-
-// identityScale is the default accuracy-is-trust scale.
-type identityScale struct{}
-
-func (identityScale) TrustScale(accuracy []float64) []float64 {
-	out := make([]float64, len(accuracy))
-	copy(out, accuracy)
-	return out
-}
-
-// Methods returns the paper's method roster in Table 6 order.
-func Methods() []Method {
-	return []Method{
-		Vote{},
-		Hub{},
-		AvgLog{},
-		Invest{},
-		PooledInvest{},
-		Cosine{},
-		TwoEstimates{},
-		ThreeEstimates{},
-		TruthFinder{},
-		AccuPr{},
-		PopAccu{},
-		AccuSim{},
-		AccuFormat{},
-		AccuSimAttr{},
-		AccuFormatAttr{},
-		AccuCopy{},
-	}
-}
-
-// ByName returns the method with the given name.
-func ByName(name string) (Method, bool) {
-	for _, m := range Methods() {
-		if m.Name() == name {
-			return m, true
-		}
-	}
-	return nil, false
-}
-
 // Eval holds the Section 4.2 measures for one run against a gold standard.
 type Eval struct {
 	// Precision is the share of output values on gold items that agree

@@ -143,7 +143,7 @@ func TestVoteLosesToTrustAwareOnTrustedMinority(t *testing.T) {
 	sc := trustedMinorityScenario(t)
 	p := Build(sc.ds, sc.snap, nil, BuildOptions{NeedSimilarity: true, NeedFormat: true})
 
-	vote := Vote{}.Run(p, Options{})
+	vote := methodNamed("Vote").Run(p, Options{})
 	evVote := Evaluate(sc.ds, p, vote, sc.gold)
 	if evVote.Precision == 1 {
 		t.Fatal("scenario broken: VOTE should err on contested items")
@@ -160,7 +160,7 @@ func TestVoteLosesToTrustAwareOnTrustedMinority(t *testing.T) {
 	}
 	// Iterative AccuPr should also learn who to trust (the bad trio's
 	// calibration errors are uncorrelated, so their accuracy collapses).
-	res := AccuPr{}.Run(p, Options{})
+	res := methodNamed("AccuPr").Run(p, Options{})
 	ev := Evaluate(sc.ds, p, res, sc.gold)
 	if ev.Precision <= evVote.Precision {
 		t.Errorf("iterative AccuPr (%v) should beat VOTE (%v)", ev.Precision, evVote.Precision)
@@ -201,11 +201,11 @@ func TestAccuFormatRecoversFineValue(t *testing.T) {
 		t.Fatal("format pairs not detected")
 	}
 
-	vote := Vote{}.Run(p, Options{})
+	vote := methodNamed("Vote").Run(p, Options{})
 	if ev := Evaluate(ds, p, vote, gld); ev.Precision != 0 {
 		t.Fatalf("VOTE should pick the coarse cluster everywhere, precision %v", ev.Precision)
 	}
-	res := AccuFormat{}.Run(p, Options{})
+	res := methodNamed("AccuFormat").Run(p, Options{})
 	if ev := Evaluate(ds, p, res, gld); ev.Precision != 1 {
 		t.Errorf("AccuFormat precision = %v, want 1 (format subsumption)", ev.Precision)
 	}
@@ -244,19 +244,19 @@ func TestAccuCopyDiscountsClique(t *testing.T) {
 	sc := buildScenario(t, []string{"p"}, claims, truth)
 	p := Build(sc.ds, sc.snap, nil, BuildOptions{NeedSimilarity: true, NeedFormat: true})
 
-	vote := Vote{}.Run(p, Options{})
+	vote := methodNamed("Vote").Run(p, Options{})
 	evVote := Evaluate(sc.ds, p, vote, sc.gold)
 	if evVote.Precision > 0.9 {
 		t.Fatalf("scenario broken: VOTE = %v, clique should dominate", evVote.Precision)
 	}
-	res := AccuCopy{}.Run(p, Options{})
+	res := methodNamed("AccuCopy").Run(p, Options{})
 	ev := Evaluate(sc.ds, p, res, sc.gold)
 	if ev.Precision <= evVote.Precision {
 		t.Errorf("AccuCopy (%v) should beat VOTE (%v) on copied errors", ev.Precision, evVote.Precision)
 	}
 	// Known groups resolve it fully.
 	groups := [][]model.SourceID{{sc.names["c1"], sc.names["c2"], sc.names["c3"], sc.names["c4"]}}
-	resK := AccuCopy{}.Run(p, Options{KnownGroups: groups})
+	resK := methodNamed("AccuCopy").Run(p, Options{KnownGroups: groups})
 	evK := Evaluate(sc.ds, p, resK, sc.gold)
 	if evK.Precision != 1 {
 		t.Errorf("AccuCopy with known groups = %v, want 1", evK.Precision)
@@ -294,7 +294,7 @@ func TestBuildProblem(t *testing.T) {
 func TestEvaluateAndTrust(t *testing.T) {
 	sc := honestMajorityScenario(t)
 	p := Build(sc.ds, sc.snap, nil, BuildOptions{})
-	res := Vote{}.Run(p, Options{})
+	res := methodNamed("Vote").Run(p, Options{})
 	ev := Evaluate(sc.ds, p, res, sc.gold)
 	if ev.Precision != 1 || ev.Recall != 1 || ev.Errors != 0 {
 		t.Errorf("Evaluate = %+v", ev)
@@ -305,7 +305,7 @@ func TestEvaluateAndTrust(t *testing.T) {
 		t.Errorf("VOTE trust dev = %v", ev.TrustDev)
 	}
 	// With a trust method.
-	hub := Hub{}.Run(p, Options{})
+	hub := methodNamed("Hub").Run(p, Options{})
 	ev2 := Evaluate(sc.ds, p, hub, sc.gold)
 	EvaluateTrust(&ev2, hub, SampleAccuracy(sc.ds, sc.snap, p, sc.gold))
 	if ev2.TrustDev <= 0 {
@@ -359,7 +359,7 @@ func TestMethodRegistry(t *testing.T) {
 }
 
 func TestCosineTrustScale(t *testing.T) {
-	got := Cosine{}.TrustScale([]float64{1, 0.5, 0})
+	got := methodNamed("Cosine").TrustScale([]float64{1, 0.5, 0})
 	want := []float64{1, 0, -1}
 	for i := range want {
 		if got[i] != want[i] {

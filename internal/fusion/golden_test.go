@@ -63,7 +63,7 @@ func TestGoldenProblemShape(t *testing.T) {
 //	trust: s0 = 2+1 = 3, s1 = 2, s2 = 1+1 = 2 -> normalised {1, 2/3, 2/3}
 func TestGoldenHubFirstRound(t *testing.T) {
 	p := goldenProblem(t)
-	res := Hub{}.Run(p, Options{MaxRounds: 1})
+	res := methodNamed("Hub").Run(p, Options{MaxRounds: 1})
 	want := []float64{1, 2.0 / 3, 2.0 / 3}
 	for s, w := range want {
 		if math.Abs(res.Trust[s]-w) > 1e-12 {
@@ -84,7 +84,7 @@ func TestGoldenHubFirstRound(t *testing.T) {
 // normalised by the max (s0).
 func TestGoldenAvgLogFirstRound(t *testing.T) {
 	p := goldenProblem(t)
-	res := AvgLog{}.Run(p, Options{MaxRounds: 1})
+	res := methodNamed("AvgLog").Run(p, Options{MaxRounds: 1})
 	raw := []float64{
 		math.Log(3) * 1.5,
 		math.Log(2) * 2,
@@ -109,7 +109,7 @@ func TestGoldenAvgLogFirstRound(t *testing.T) {
 //	s2: vote(20) * 1 + vote(40) * 1        = 0.870
 func TestGoldenInvestFirstRound(t *testing.T) {
 	p := goldenProblem(t)
-	res := Invest{}.Run(p, Options{MaxRounds: 1})
+	res := methodNamed("Invest").Run(p, Options{MaxRounds: 1})
 	v15 := math.Pow(1.5, investExponent)
 	v05 := math.Pow(0.5, investExponent)
 	raw := []float64{
@@ -132,7 +132,7 @@ func TestGoldenInvestFirstRound(t *testing.T) {
 //	item1: L(30) = C0, L(40) = C2 -> 30 wins (C0 > C2)
 func TestGoldenAccuPrVotes(t *testing.T) {
 	p := goldenProblem(t)
-	res := AccuPr{}.Run(p, Options{InputTrust: []float64{0.9, 0.6, 0.6}, NFalse: 50})
+	res := methodNamed("AccuPr").Run(p, Options{InputTrust: []float64{0.9, 0.6, 0.6}, NFalse: 50})
 	if res.Chosen[0] != 0 {
 		t.Error("AccuPr should choose 10 on item 0")
 	}
@@ -149,7 +149,7 @@ func TestGoldenAccuPrVotes(t *testing.T) {
 //	conf = 1/(1+exp(-0.3 sigma)).
 func TestGoldenTruthFinderConfidence(t *testing.T) {
 	p := goldenProblem(t)
-	res := TruthFinder{}.Run(p, Options{InputTrust: []float64{0.9, 0.8, 0.8}})
+	res := methodNamed("TruthFinder").Run(p, Options{InputTrust: []float64{0.9, 0.8, 0.8}})
 	if res.Chosen[0] != 0 || p.Items[1].Buckets[res.Chosen[1]].Rep.Num != 30 {
 		t.Errorf("TruthFinder choices = %v", res.Chosen)
 	}
@@ -159,7 +159,7 @@ func TestGoldenTruthFinderConfidence(t *testing.T) {
 // item 1 must follow s0.
 func TestGoldenCosineWithTrust(t *testing.T) {
 	p := goldenProblem(t)
-	res := Cosine{}.Run(p, Options{InputTrust: []float64{0.9, 0.1, 0.1}})
+	res := methodNamed("Cosine").Run(p, Options{InputTrust: []float64{0.9, 0.1, 0.1}})
 	if p.Items[1].Buckets[res.Chosen[1]].Rep.Num != 30 {
 		t.Errorf("Cosine should follow the trusted source, got %v",
 			p.Items[1].Buckets[res.Chosen[1]].Rep.Num)
@@ -169,7 +169,7 @@ func TestGoldenCosineWithTrust(t *testing.T) {
 // 2-ESTIMATES with strong input trust for s2 flips item 1 to 40.
 func TestGoldenTwoEstimatesWithTrust(t *testing.T) {
 	p := goldenProblem(t)
-	res := TwoEstimates{}.Run(p, Options{InputTrust: []float64{0.1, 0.1, 0.95}})
+	res := methodNamed("2-Estimates").Run(p, Options{InputTrust: []float64{0.1, 0.1, 0.95}})
 	if p.Items[1].Buckets[res.Chosen[1]].Rep.Num != 40 {
 		t.Errorf("2-Estimates should follow the trusted dissenter, got %v",
 			p.Items[1].Buckets[res.Chosen[1]].Rep.Num)
@@ -180,7 +180,7 @@ func TestGoldenTwoEstimatesWithTrust(t *testing.T) {
 // majority of members decides.
 func TestGoldenEnsembleMajority(t *testing.T) {
 	p := goldenProblem(t)
-	e := Ensemble{Members: []string{"Vote", "Hub", "AvgLog"}}
+	e := Ensemble("Vote", "Hub", "AvgLog")
 	res := e.Run(p, Options{})
 	// All three members are provider-count driven: item 0 -> 10; item 1 is
 	// a 1-1 tie resolved toward the first bucket.
@@ -218,14 +218,14 @@ func TestGoldenParallelismOne(t *testing.T) {
 	}
 
 	// The hand-derived golden numbers must hold on the serial path too.
-	res := Hub{}.Run(p, Options{MaxRounds: 1, Parallelism: 1})
+	res := methodNamed("Hub").Run(p, Options{MaxRounds: 1, Parallelism: 1})
 	want := []float64{1, 2.0 / 3, 2.0 / 3}
 	for s, w := range want {
 		if math.Abs(res.Trust[s]-w) > 1e-12 {
 			t.Errorf("Hub serial trust[%d] = %v, want %v", s, res.Trust[s], w)
 		}
 	}
-	acc := AccuPr{}.Run(p, Options{InputTrust: []float64{0.9, 0.6, 0.6}, NFalse: 50, Parallelism: 1})
+	acc := methodNamed("AccuPr").Run(p, Options{InputTrust: []float64{0.9, 0.6, 0.6}, NFalse: 50, Parallelism: 1})
 	if acc.Chosen[0] != 0 || p.Items[1].Buckets[acc.Chosen[1]].Rep.Num != 30 {
 		t.Error("AccuPr golden choices diverge under Parallelism 1")
 	}

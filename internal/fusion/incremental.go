@@ -78,12 +78,11 @@ type IncrementalOptions struct {
 	// output always take the full path, so answers are bit-identical to a
 	// from-scratch fuse of the target snapshot.
 	TrustTolerance float64
-	// Planner, when set, plans the advance path from the measured delta
-	// features (churn fraction, shard fan-out) instead of the legacy
-	// tolerance-only gating — PlannerAuto applies the churn ceiling to
-	// the warm path, PlannerForced executes exactly the named path. Nil
-	// keeps the legacy gating. Either way the decision is recorded on
-	// Result.Plan and IncrementalStats.Plan.
+	// Planner plans the advance path from the measured delta features
+	// (churn fraction, shard fan-out): PlannerAuto applies the churn
+	// ceiling to the warm path, PlannerForced executes exactly the named
+	// path. Nil is the zero Planner: auto with the default ceiling. The
+	// decision is recorded on Result.Plan and IncrementalStats.Plan.
 	Planner *Planner
 }
 
@@ -113,33 +112,6 @@ type IncrementalStats struct {
 	// Plan is the recorded execution decision (same pointer as
 	// Result.Plan).
 	Plan *Plan
-}
-
-// ItemLocal is implemented by methods whose output on an item depends only
-// on that item's own claims — no cross-item trust coupling — so advancing
-// a state needs to recompute exactly the dirty items. RunItems must write
-// chosen[i] for every i in idx, matching what Run would choose.
-type ItemLocal interface {
-	RunItems(p *Problem, opts Options, idx []int, chosen []int32)
-}
-
-// accuConfigured is implemented by the ACCU-family methods that support
-// the warm dirty-only path (AccuCopy's detector is global and excluded).
-type accuConfigured interface {
-	accuCfg() accuConfig
-}
-
-func (AccuPr) accuCfg() accuConfig  { return accuConfig{name: "AccuPr"} }
-func (PopAccu) accuCfg() accuConfig { return accuConfig{name: "PopAccu", popularity: true} }
-func (AccuSim) accuCfg() accuConfig { return accuConfig{name: "AccuSim", sim: true} }
-func (AccuFormat) accuCfg() accuConfig {
-	return accuConfig{name: "AccuFormat", sim: true, format: true}
-}
-func (AccuSimAttr) accuCfg() accuConfig {
-	return accuConfig{name: "AccuSimAttr", sim: true, perAttr: true}
-}
-func (AccuFormatAttr) accuCfg() accuConfig {
-	return accuConfig{name: "AccuFormatAttr", sim: true, format: true, perAttr: true}
 }
 
 // ShardRebuilds records what one ShardedProblem.Advance rebuilt, shard
@@ -236,11 +208,13 @@ func (st *State) Advance(ds *model.Dataset, delta *model.Delta, opts Options,
 	if err != nil {
 		return nil, IncrementalStats{}, err
 	}
-	lm, isLocal := st.method.(ItemLocal)
-	_, isAccu := st.method.(accuConfigured)
-	warmable := isAccu && inc.TrustTolerance > 0
+	// Vote is the item-local method; the ACCU family warm-starts, but not
+	// a method whose run reads every item at once.
+	m := st.method
+	isLocal := m.kind == dkVote
+	warmable := m.kind == dkAccu && !wholeRun(m) && inc.TrustTolerance > 0
 
-	out := &State{method: st.method}
+	out := &State{method: m}
 	var rb ShardRebuilds
 	if out.Sharded, rb, err = sp.Advance(ds, deltas, opts.Parallelism, isLocal || warmable); err != nil {
 		return nil, IncrementalStats{}, err
@@ -264,11 +238,12 @@ func (st *State) Advance(ds *model.Dataset, delta *model.Delta, opts Options,
 
 	if plan.Path == ModeLocal {
 		if !isLocal {
-			return nil, IncrementalStats{}, forcedPathError(plan.Path, st.method.Name())
+			return nil, IncrementalStats{}, forcedPathError(plan.Path, m.name)
 		}
 		// Item-local fast path: clean items keep the previous answers,
-		// dirty items are recomputed shard by shard, each into its own
-		// range of the global answer vector.
+		// shard by shard, each into its own range of the global answer
+		// vector. Every other item (PrevIdx -1) keeps the zero, Vote's
+		// dominant bucket, without loading its shard.
 		chosen := make([]int32, next.NumItems())
 		for k, npt := range next.parts {
 			prevBase := sp.parts[k].base
@@ -281,10 +256,6 @@ func (st *State) Advance(ds *model.Dataset, delta *model.Delta, opts Options,
 				if pi >= 0 {
 					local[i] = st.Result.Chosen[prevBase+pi]
 				}
-			}
-			if len(rb.Items[k]) > 0 {
-				lm.RunItems(next.load(k), opts, rb.Items[k], local)
-				next.release(k)
 			}
 		}
 		out.Result = &Result{
@@ -301,9 +272,9 @@ func (st *State) Advance(ds *model.Dataset, delta *model.Delta, opts Options,
 
 	if plan.Path == ModeWarm {
 		if !warmable {
-			return nil, IncrementalStats{}, forcedPathError(plan.Path, st.method.Name())
+			return nil, IncrementalStats{}, forcedPathError(plan.Path, m.name)
 		}
-		if res, ok := runWarm(next, sp, st.method, opts, st.Result,
+		if res, ok := runWarm(next, sp, m, opts, st.Result,
 			rb.PrevIdx, rb.Items, inc.TrustTolerance); ok {
 			res.Elapsed = time.Since(start)
 			res.Plan = plan
@@ -315,7 +286,7 @@ func (st *State) Advance(ds *model.Dataset, delta *model.Delta, opts Options,
 		plan.fellBack()
 	}
 
-	res, err := next.Run(st.method, opts)
+	res, err := next.Run(m, opts)
 	if err != nil {
 		return nil, IncrementalStats{}, err
 	}

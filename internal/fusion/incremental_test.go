@@ -373,7 +373,7 @@ func TestOneShardAdvanceCopiesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := AccuPr{}
+	m := methodNamed("AccuPr")
 	opts := Options{Parallelism: 1}
 	st, err := NewState(ds, day0, gen.FusedSources(), model.RangeShards(1, day0.NumItems()), m, opts, 0)
 	if err != nil {

@@ -12,66 +12,10 @@ import "math"
 // rescales in place through the round protocol's global rescale
 // (dist.go).
 
-// Cosine computes source trust as the cosine similarity between the
-// source's +-1 claim vector and the current truth scores, weights votes by
-// trust cubed, and damps trust updates for stability.
-type Cosine struct{}
-
-// Name implements Method.
-func (Cosine) Name() string { return "Cosine" }
-
-// Needs implements Method.
-func (Cosine) Needs() BuildOptions { return BuildOptions{} }
-
-// TrustScale implements Method: a source with accuracy a agrees with the
-// truth vector on a and disputes on 1-a of its claims, so its exact cosine
-// is 2a-1.
-func (Cosine) TrustScale(accuracy []float64) []float64 {
-	out := make([]float64, len(accuracy))
-	for i, a := range accuracy {
-		out[i] = 2*a - 1
-	}
-	return out
-}
-
 // cosineDamping keeps 20% of the old trust each round ("To improve
 // stability, it sets the new trustworthiness as a linear combination of the
 // old trustworthiness and the newly computed one").
 const cosineDamping = 0.2
-
-// Run implements Method.
-func (Cosine) Run(p *Problem, opts Options) *Result { return runOnePart(p, Cosine{}, opts) }
-
-// TwoEstimates averages positive and complement votes and applies the full
-// [0,1] linear renormalisation Galland et al. require for convergence.
-type TwoEstimates struct{ identityScale }
-
-// Name implements Method.
-func (TwoEstimates) Name() string { return "2-Estimates" }
-
-// Needs implements Method.
-func (TwoEstimates) Needs() BuildOptions { return BuildOptions{} }
-
-// Run implements Method.
-func (TwoEstimates) Run(p *Problem, opts Options) *Result {
-	return runOnePart(p, TwoEstimates{}, opts)
-}
-
-// ThreeEstimates extends 2-ESTIMATES with a per-value error factor
-// epsilon(v) — the likelihood that a vote on the value is wrong — estimated
-// jointly with source trust under P(s right on v) = 1 - (1-theta_s)eps_v.
-type ThreeEstimates struct{ identityScale }
-
-// Name implements Method.
-func (ThreeEstimates) Name() string { return "3-Estimates" }
-
-// Needs implements Method.
-func (ThreeEstimates) Needs() BuildOptions { return BuildOptions{} }
-
-// Run implements Method.
-func (ThreeEstimates) Run(p *Problem, opts Options) *Result {
-	return runOnePart(p, ThreeEstimates{}, opts)
-}
 
 func sumTrust(ss []int32, trust []float64) float64 {
 	var t float64

@@ -81,7 +81,7 @@ func BenchmarkKernelAccuTableUpdate(b *testing.B) {
 	p := benchKernelProblem()
 	n := len(p.SourceIDs)
 	opts := Options{}.withDefaults()
-	tab := newAccuTables(n, 0, opts, accuConfig{name: "AccuPr"})
+	tab := newAccuTables(n, 0, opts, accuConfig{})
 	at := &accuTrust{global: benchTrust(n)}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -119,15 +119,15 @@ func benchAccuPosteriorPass(b *testing.B, cfg accuConfig) {
 }
 
 func BenchmarkKernelAccuPosteriorPlain(b *testing.B) {
-	benchAccuPosteriorPass(b, accuConfig{name: "AccuPr"})
+	benchAccuPosteriorPass(b, accuConfig{})
 }
 
 func BenchmarkKernelAccuPosteriorSim(b *testing.B) {
-	benchAccuPosteriorPass(b, accuConfig{name: "AccuSim", sim: true})
+	benchAccuPosteriorPass(b, accuConfig{sim: true})
 }
 
 func BenchmarkKernelAccuPosteriorPop(b *testing.B) {
-	benchAccuPosteriorPass(b, accuConfig{name: "PopAccu", popularity: true})
+	benchAccuPosteriorPass(b, accuConfig{popularity: true})
 }
 
 // BenchmarkKernelPopTableBuild measures the once-per-run popularity

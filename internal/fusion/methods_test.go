@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -163,11 +164,11 @@ func TestSimilarityBoost(t *testing.T) {
 	if len(p.Items[0].Buckets) != 4 {
 		t.Fatalf("buckets = %d, want the variants split apart", len(p.Items[0].Buckets))
 	}
-	vote := Vote{}.Run(p, Options{})
+	vote := methodNamed("Vote").Run(p, Options{})
 	if ev := Evaluate(ds, p, vote, gld); ev.Precision != 0 {
 		t.Fatalf("VOTE should pick the far cluster, got %v", ev.Precision)
 	}
-	sim := AccuSim{}.Run(p, Options{})
+	sim := methodNamed("AccuSim").Run(p, Options{})
 	if ev := Evaluate(ds, p, sim, gld); ev.Precision != 1 {
 		t.Errorf("AccuSim = %v, want 1 (similar values reinforce each other)", ev.Precision)
 	}
@@ -184,7 +185,7 @@ func TestInvestExponent(t *testing.T) {
 func TestThreeEstimatesRuns(t *testing.T) {
 	sc := trustedMinorityScenario(t)
 	p := Build(sc.ds, sc.snap, nil, BuildOptions{})
-	res := ThreeEstimates{}.Run(p, Options{MaxRounds: 40})
+	res := methodNamed("3-Estimates").Run(p, Options{MaxRounds: 40})
 	if len(res.Trust) != len(p.SourceIDs) {
 		t.Fatal("trust vector size mismatch")
 	}
@@ -200,7 +201,7 @@ func TestThreeEstimatesRuns(t *testing.T) {
 func TestPooledInvestUnbounded(t *testing.T) {
 	sc := trustedMinorityScenario(t)
 	p := Build(sc.ds, sc.snap, nil, BuildOptions{})
-	res := PooledInvest{}.Run(p, Options{})
+	res := methodNamed("PooledInvest").Run(p, Options{})
 	for _, tr := range res.Trust {
 		if math.IsNaN(tr) || math.IsInf(tr, 0) {
 			t.Fatalf("PooledInvest trust not finite: %v", tr)
@@ -310,7 +311,7 @@ func TestKnownGroupsKeepRepresentative(t *testing.T) {
 	sc := honestMajorityScenario(t)
 	p := Build(sc.ds, sc.snap, nil, BuildOptions{NeedSimilarity: true, NeedFormat: true})
 	groups := [][]model.SourceID{{sc.names["s1"], sc.names["s2"], sc.names["s3"]}}
-	res := AccuCopy{}.Run(p, Options{KnownGroups: groups})
+	res := methodNamed("AccuCopy").Run(p, Options{KnownGroups: groups})
 	// s2, s3 dropped; remaining s1 vs bad is a 1-1 tie — any valid bucket
 	// is acceptable, the run must simply be well-formed.
 	if len(res.Chosen) != len(p.Items) {
@@ -372,4 +373,119 @@ func TestCopyDetectSimilarityAware(t *testing.T) {
 	if aware[0][1] > 0.1 {
 		t.Errorf("similarity-aware detector should clear the near pair (dep=%v)", aware[0][1])
 	}
+}
+
+// methodNamed returns the named method of the paper roster or of the
+// extensions; it panics on an unknown name.
+func methodNamed(name string) Method {
+	for _, m := range append(Methods(), ExtensionMethods()...) {
+		if m.Name() == name {
+			return m
+		}
+	}
+	panic("fusion: no method " + name)
+}
+
+// TestMethodTable pins every row of Methods() and ExtensionMethods(), in
+// order: the name and the paper-roster lookup, the build needs, the
+// split-run check, the item-local and warm advance paths, and the trust
+// scale.
+func TestMethodTable(t *testing.T) {
+	type row struct {
+		name        string
+		paper       bool // ByName resolves it
+		sim, format bool // Needs
+		splits      bool // DistCheck accepts it
+		local, warm bool // a forced ModeLocal / ModeWarm advance runs
+		cosine      bool // TrustScale is 2a-1
+	}
+	rows := []row{
+		{name: "Vote", paper: true, splits: true, local: true},
+		{name: "Hub", paper: true, splits: true},
+		{name: "AvgLog", paper: true, splits: true},
+		{name: "Invest", paper: true, splits: true},
+		{name: "PooledInvest", paper: true, splits: true},
+		{name: "Cosine", paper: true, splits: true, cosine: true},
+		{name: "2-Estimates", paper: true, splits: true},
+		{name: "3-Estimates", paper: true, splits: true},
+		{name: "TruthFinder", paper: true, sim: true, splits: true},
+		{name: "AccuPr", paper: true, splits: true, warm: true},
+		{name: "PopAccu", paper: true, splits: true, warm: true},
+		{name: "AccuSim", paper: true, sim: true, splits: true, warm: true},
+		{name: "AccuFormat", paper: true, sim: true, format: true, splits: true, warm: true},
+		{name: "AccuSimAttr", paper: true, sim: true, splits: true, warm: true},
+		{name: "AccuFormatAttr", paper: true, sim: true, format: true, splits: true, warm: true},
+		{name: "AccuCopy", paper: true, sim: true, format: true},
+		{name: "Ensemble", sim: true, format: true},
+		{name: "AccuSimCat", sim: true},
+	}
+	all := append(Methods(), ExtensionMethods()...)
+	if len(all) != len(rows) {
+		t.Fatalf("%d methods, want %d", len(all), len(rows))
+	}
+	ds, snaps := incWorldSized(t, 5, 2, 30)
+	delta, err := snaps[0].Diff(snaps[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range rows {
+		m := all[i]
+		t.Run(want.name, func(t *testing.T) {
+			if m.Name() != want.name {
+				t.Fatalf("row %d is %s", i, m.Name())
+			}
+			got, ok := ByName(want.name)
+			if ok != want.paper || (ok && !reflect.DeepEqual(got, m)) {
+				t.Errorf("ByName = %+v, %v", got, ok)
+			}
+			if n := m.Needs(); n != (BuildOptions{NeedSimilarity: want.sim, NeedFormat: want.format}) {
+				t.Errorf("Needs = %+v", n)
+			}
+			if err := DistCheck(m, Options{}); (err == nil) != want.splits {
+				t.Errorf("DistCheck = %v", err)
+			}
+			scale := []float64{1, 0.75, 0}
+			if want.cosine {
+				scale = []float64{1, 0.5, -1}
+			}
+			if s := m.TrustScale([]float64{1, 0.75, 0}); !reflect.DeepEqual(s, scale) {
+				t.Errorf("TrustScale = %v, want %v", s, scale)
+			}
+			st := flatState(t, ds, snaps[0], m, Options{})
+			for _, path := range []struct {
+				mode AdvanceMode
+				ok   bool
+			}{{ModeLocal, want.local}, {ModeWarm, want.warm}} {
+				// A tolerance of 1 never trips the drift bound: trust
+				// stays within [0.01, 0.99].
+				_, stats, err := st.Advance(ds, delta, Options{}, IncrementalOptions{TrustTolerance: 1,
+					Planner: &Planner{Mode: PlannerForced, ForcePath: path.mode}})
+				if path.ok && (err != nil || stats.Mode != path.mode) {
+					t.Errorf("forced %s: mode %s, error %v", path.mode, stats.Mode, err)
+				}
+				if !path.ok && err == nil {
+					t.Errorf("forced %s ran (mode %s), want a refusal", path.mode, stats.Mode)
+				}
+			}
+		})
+	}
+}
+
+// TestZeroMethodRefused: the zero Method is no method — it must not run
+// as Vote or as any other row.
+func TestZeroMethodRefused(t *testing.T) {
+	var m Method
+	p := randomProblem(3, 4, []uint16{2, 5, 9})
+	if err := DistCheck(m, Options{}); err == nil {
+		t.Error("DistCheck accepted the zero Method")
+	}
+	if _, err := onePart(p).Run(m, Options{}); err == nil {
+		t.Error("ShardedProblem.Run ran the zero Method")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Run of the zero Method did not panic")
+		}
+	}()
+	m.Run(p, Options{})
 }

@@ -160,9 +160,8 @@ func (f PlanFeatures) churn() float64 {
 // computePlan picks the execution path for one advance. layout, the
 // resident budget and parallelism describe the state the advance runs on
 // (the layout of a live state is fixed — switching it means rebuilding,
-// which ResolveLayout decides once, not per day). A nil planner preserves
-// the pre-planner gating: warm whenever the method supports it and the
-// tolerance allows, with no churn ceiling.
+// which ResolveLayout decides once, not per day). A nil planner is the
+// zero Planner: auto mode with the default warm ceiling.
 func computePlan(pl *Planner, layout PlanLayout, caps planCaps, f PlanFeatures,
 	parallelism, residentShards int) Plan {
 
@@ -173,7 +172,10 @@ func computePlan(pl *Planner, layout PlanLayout, caps planCaps, f PlanFeatures,
 		Parallelism:    parallelism,
 		Features:       f,
 	}
-	if pl != nil && pl.Mode == PlannerForced {
+	if pl == nil {
+		pl = &Planner{}
+	}
+	if pl.Mode == PlannerForced {
 		plan.Forced = true
 		plan.Path = pl.ForcePath
 		plan.Reason = fmt.Sprintf("forced %s", pl.ForcePath)
@@ -187,9 +189,6 @@ func computePlan(pl *Planner, layout PlanLayout, caps planCaps, f PlanFeatures,
 	case !caps.warmable:
 		plan.Path = ModeFull
 		plan.Reason = "no warm path (method not warmable or TrustTolerance 0): exact full iteration"
-	case pl == nil:
-		plan.Path = ModeWarm
-		plan.Reason = "tolerance-gated warm (no planner: no churn ceiling)"
 	default:
 		ceiling := pl.withDefaults().WarmChurnCeiling
 		if f.ChurnFraction <= ceiling {

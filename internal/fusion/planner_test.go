@@ -28,8 +28,8 @@ func TestComputePlanPaths(t *testing.T) {
 			planCaps{warmable: true}, PlanFeatures{DirtyItems: 18, TotalItems: 100}, ModeWarm},
 		{"full above the ceiling", auto,
 			planCaps{warmable: true}, PlanFeatures{DirtyItems: 90, TotalItems: 100}, ModeFull},
-		{"nil planner keeps legacy gating at any churn", nil,
-			planCaps{warmable: true}, PlanFeatures{DirtyItems: 90, TotalItems: 100}, ModeWarm},
+		{"nil planner is auto", nil,
+			planCaps{warmable: true}, PlanFeatures{DirtyItems: 90, TotalItems: 100}, ModeFull},
 		{"custom ceiling", &Planner{Mode: PlannerAuto, WarmChurnCeiling: 0.5},
 			planCaps{warmable: true}, PlanFeatures{DirtyItems: 40, TotalItems: 100}, ModeWarm},
 		{"forced full ignores capabilities", &Planner{Mode: PlannerForced, ForcePath: ModeFull},

@@ -91,7 +91,7 @@ func TestMethodsSurviveRandomProblems(t *testing.T) {
 func TestVoteMonotonicity(t *testing.T) {
 	f := func(itemCount uint8, cells []uint16) bool {
 		p := randomProblem(5, itemCount, cells)
-		res := Vote{}.Run(p, Options{})
+		res := methodNamed("Vote").Run(p, Options{})
 		for i := range p.Items {
 			chosen := p.Items[i].Buckets[res.Chosen[i]]
 			for b := range p.Items[i].Buckets {

@@ -16,13 +16,11 @@ func (sp *ShardedProblem) Run(m Method, opts Options) (*Result, error) {
 	start := time.Now()
 	var res *Result
 	var err error
-	ens, isEnsemble := m.(Ensemble)
-	_, isCopy := m.(AccuCopy)
 	switch {
-	case isEnsemble:
-		res, err = ensembleSharded(sp, ens, opts)
-	case isCopy && opts.KnownGroups != nil:
-		res, err = knownGroupsSharded(sp, opts)
+	case m.kind == dkEnsemble:
+		res, err = ensembleSharded(sp, m.members, opts)
+	case m.cfg.copies && opts.KnownGroups != nil:
+		res, err = knownGroupsSharded(sp, m, opts)
 	default:
 		var e *DistExec
 		if e, err = newExec(sp, m, opts, nil, nil); err == nil {
@@ -61,23 +59,12 @@ func onePart(p *Problem) *ShardedProblem {
 	return &w.sp
 }
 
-// runOnePart is Method.Run for every method but Vote: the method's
-// round program on the executor over p wrapped as one part.
-func runOnePart(p *Problem, m Method, opts Options) *Result {
-	res, err := onePart(p).Run(m, opts)
-	if err != nil {
-		// Every method has a round program, and an in-process run has no
-		// remote peer to fail.
-		panic(err)
-	}
-	return res
-}
-
-// knownGroupsSharded is ACCUCOPY with known copying groups: every known
-// copier (but each group's first member) is filtered out of every shard,
-// the ACCUFORMAT program runs on the filtered shard set, and the choices
-// are mapped back to the unfiltered bucket indexing shard by shard.
-func knownGroupsSharded(sp *ShardedProblem, opts Options) (*Result, error) {
+// knownGroupsSharded is ACCUCOPY (m) with known copying groups: every
+// known copier (but each group's first member) is filtered out of every
+// shard, m's program without its detect step — ACCUFORMAT's — runs on the
+// filtered shard set, and the choices are mapped back to the unfiltered
+// bucket indexing shard by shard.
+func knownGroupsSharded(sp *ShardedProblem, m Method, opts Options) (*Result, error) {
 	ignore := make([]bool, len(sp.SourceIDs))
 	indexOf := make(map[model.SourceID]int, len(sp.SourceIDs))
 	for i, s := range sp.SourceIDs {
@@ -94,7 +81,8 @@ func knownGroupsSharded(sp *ShardedProblem, opts Options) (*Result, error) {
 		}
 	}
 	fsp := sp.withFilter(ignore)
-	e, err := newExec(fsp, AccuFormat{}, opts, nil, nil)
+	m.cfg.copies = false
+	e, err := newExec(fsp, m, opts, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +90,6 @@ func knownGroupsSharded(sp *ShardedProblem, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Method = "AccuCopy"
 
 	// Map choices back to the unfiltered bucket indexing, walking each
 	// shard's filtered and unfiltered item lists in lockstep (filtering
@@ -163,10 +150,10 @@ func (sp *ShardedProblem) withFilter(ignore []bool) *ShardedProblem {
 
 // ensembleSharded is the Ensemble vote: every member runs on the shard
 // set, and the per-item majority vote walks it once.
-func ensembleSharded(sp *ShardedProblem, e Ensemble, opts Options) (*Result, error) {
+func ensembleSharded(sp *ShardedProblem, members []string, opts Options) (*Result, error) {
 	var results []*Result
 	rounds := 0
-	for _, name := range e.members() {
+	for _, name := range members {
 		m, ok := ByName(name)
 		if !ok {
 			continue

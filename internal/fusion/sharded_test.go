@@ -106,7 +106,7 @@ func TestShardedKnownGroups(t *testing.T) {
 	snap := snaps[0]
 	groups := [][]model.SourceID{{2, 3, 4}, {10, 11}}
 	opts := Options{KnownGroups: groups}
-	m := AccuCopy{}
+	m := methodNamed("AccuCopy")
 	flat := m.Run(Build(ds, snap, nil, m.Needs()), opts)
 	for _, spec := range []model.ShardSpec{
 		model.RangeShards(1, snap.NumItems()),
@@ -130,7 +130,7 @@ func TestShardedKnownGroups(t *testing.T) {
 func TestShardedInputTrust(t *testing.T) {
 	ds, snaps := incWorld(t, 7, 1)
 	snap := snaps[0]
-	for _, m := range []Method{Hub{}, TwoEstimates{}, AccuFormatAttr{}, TruthFinder{}} {
+	for _, m := range []Method{methodNamed("Hub"), methodNamed("2-Estimates"), methodNamed("AccuFormatAttr"), methodNamed("TruthFinder")} {
 		p := Build(ds, snap, nil, m.Needs())
 		input := make([]float64, len(p.SourceIDs))
 		for s := range input {
@@ -165,7 +165,7 @@ func TestShardedStateAdvance(t *testing.T) {
 		{"range1", model.RangeShards(1, numItems), 0},
 		{"budget4r1", model.RangeShards(4, numItems), 1},
 	} {
-		for _, m := range []Method{Vote{}, AccuPr{}, AccuFormatAttr{}, TwoEstimates{}} {
+		for _, m := range []Method{methodNamed("Vote"), methodNamed("AccuPr"), methodNamed("AccuFormatAttr"), methodNamed("2-Estimates")} {
 			st, err := NewState(ds, snaps[0], nil, tc.spec, m, Options{}, tc.maxResident)
 			if err != nil {
 				t.Fatal(err)
@@ -228,7 +228,7 @@ func TestShardedStateAdvanceUntouchedShards(t *testing.T) {
 		t.Fatalf("test delta landed on shard %d, want 0", got)
 	}
 
-	for _, m := range []Method{Vote{}, AccuPr{}} {
+	for _, m := range []Method{methodNamed("Vote"), methodNamed("AccuPr")} {
 		st, err := NewState(ds, base, nil, spec, m, Options{}, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -274,7 +274,7 @@ func TestShardedResidencyAccounting(t *testing.T) {
 	snap := snaps[0]
 	const shards = 8
 	spec := model.RangeShards(shards, snap.NumItems())
-	m := AccuFormatAttr{}
+	m := methodNamed("AccuFormatAttr")
 
 	_, resident, err := FuseSharded(ds, snap, nil, spec, m, Options{}, 0)
 	if err != nil {
@@ -319,15 +319,15 @@ func TestShardedBudgetRebuilds(t *testing.T) {
 		m               Method
 		perRound, extra int
 	}{
-		{Vote{}, 0, 0},
-		{AccuPr{}, 1, 0},
-		{Hub{}, 1, 0},
-		{Cosine{}, 1, 0},
-		{TruthFinder{}, 1, 0},
-		{TwoEstimates{}, 2, 0},
-		{ThreeEstimates{}, 3, 0},
-		{AccuFormatAttr{}, 1, 1},
-		{AccuCopy{}, 3, 1},
+		{methodNamed("Vote"), 0, 0},
+		{methodNamed("AccuPr"), 1, 0},
+		{methodNamed("Hub"), 1, 0},
+		{methodNamed("Cosine"), 1, 0},
+		{methodNamed("TruthFinder"), 1, 0},
+		{methodNamed("2-Estimates"), 2, 0},
+		{methodNamed("3-Estimates"), 3, 0},
+		{methodNamed("AccuFormatAttr"), 1, 1},
+		{methodNamed("AccuCopy"), 3, 1},
 	} {
 		res, sp, err := FuseSharded(ds, snap, nil, spec, tc.m, Options{}, 1)
 		if err != nil {

@@ -41,7 +41,10 @@ func TestShardedWarmMatchesFlatWarm(t *testing.T) {
 		for _, tc := range []struct{ shards, maxResident int }{{1, 0}, {4, 0}, {4, 1}} {
 			m, _ := ByName(name)
 			opts := Options{}
-			inc := IncrementalOptions{TrustTolerance: tol}
+			// Forced: day 3's churn is above the auto planner's warm
+			// ceiling.
+			inc := IncrementalOptions{TrustTolerance: tol,
+				Planner: &Planner{Mode: PlannerForced, ForcePath: ModeWarm}}
 			spec := model.RangeShards(tc.shards, snaps[0].NumItems())
 
 			st, err := NewState(ds, snaps[0], nil, spec, m, opts, tc.maxResident)

@@ -79,8 +79,8 @@ func TestTableKernelsMatchDirectForms(t *testing.T) {
 					want = math.Log(opts.NFalse) + want
 				}
 				if !bitEq(row[s], want) {
-					t.Fatalf("%s: logOdds[key=%d][s=%d] = %x, direct form %x",
-						cfg.name, key, s, math.Float64bits(row[s]), math.Float64bits(want))
+					t.Fatalf("logOdds[key=%d][s=%d] = %x, direct form %x",
+						key, s, math.Float64bits(row[s]), math.Float64bits(want))
 				}
 			}
 		}
@@ -89,10 +89,10 @@ func TestTableKernelsMatchDirectForms(t *testing.T) {
 	for _, m := range Methods() {
 		m := m
 		t.Run(m.Name(), func(t *testing.T) {
-			switch m.(type) {
-			case Vote, Hub, TwoEstimates, ThreeEstimates:
+			switch m.kind {
+			case dkVote, dkHub, dkTwoEst, dkThreeEst:
 				// No transcendental per-claim term to table.
-			case AvgLog:
+			case dkAvgLog:
 				cps := make([]int, n)
 				for s := range cps {
 					cps[s] = rng.Intn(10)
@@ -103,7 +103,7 @@ func TestTableKernelsMatchDirectForms(t *testing.T) {
 						t.Fatalf("logClaimCounts[%d] = %v, direct form %v", s, logc[s], want)
 					}
 				}
-			case Invest, PooledInvest:
+			case dkInvest, dkPooledInvest:
 				cps := make([]int, n)
 				for s := range cps {
 					cps[s] = rng.Intn(5) // includes 0-claim sources
@@ -120,7 +120,7 @@ func TestTableKernelsMatchDirectForms(t *testing.T) {
 						t.Fatalf("investShares[%d] = %v, direct form %v", s, shares[s], want)
 					}
 				}
-			case Cosine:
+			case dkCosine:
 				trust := randomTrust(rng, n)
 				cube := make([]float64, n)
 				cosineCubeTable(cube, trust)
@@ -129,7 +129,7 @@ func TestTableKernelsMatchDirectForms(t *testing.T) {
 						t.Fatalf("cosineCubeTable[%d] = %v, direct form %v", s, cube[s], want)
 					}
 				}
-			case TruthFinder:
+			case dkTF:
 				tau := randomTrust(rng, n)
 				nlg := make([]float64, n)
 				tfLogTable(nlg, tau)
@@ -138,14 +138,10 @@ func TestTableKernelsMatchDirectForms(t *testing.T) {
 						t.Fatalf("tfLogTable[%d] = %v, direct form %v", s, nlg[s], want)
 					}
 				}
-			case AccuCopy:
-				checkAccu(t, accuConfig{name: "AccuCopy", sim: true, format: true})
+			case dkAccu:
+				checkAccu(t, m.cfg)
 			default:
-				ac, ok := m.(accuConfigured)
-				if !ok {
-					t.Fatalf("method %s not covered by the table property test", m.Name())
-				}
-				checkAccu(t, ac.accuCfg())
+				t.Fatalf("method %s not covered by the table property test", m.Name())
 			}
 		})
 	}

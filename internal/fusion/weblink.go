@@ -7,67 +7,12 @@ import "math"
 // is the trust mass of its providers, a source's trust the vote mass of its
 // values — and differ in how the mass is averaged, invested and returned.
 // Each method's round is a per-item kernel below plus a tail in the
-// round protocol's vector loop (runVector, dist.go).
-
-// Hub adapts Kleinberg's hubs-and-authorities to fusion: vote(v) = sum of
-// provider trust; trust(s) = sum of its values' votes; both max-normalised
-// every round to keep the fixpoint bounded.
-type Hub struct{ identityScale }
-
-// Name implements Method.
-func (Hub) Name() string { return "Hub" }
-
-// Needs implements Method.
-func (Hub) Needs() BuildOptions { return BuildOptions{} }
-
-// Run implements Method.
-func (Hub) Run(p *Problem, opts Options) *Result { return runOnePart(p, Hub{}, opts) }
-
-// AvgLog tempers HUB's bias toward prolific sources: trust is the log of
-// the claim count times the average (not the sum) of the value votes.
-type AvgLog struct{ identityScale }
-
-// Name implements Method.
-func (AvgLog) Name() string { return "AvgLog" }
-
-// Needs implements Method.
-func (AvgLog) Needs() BuildOptions { return BuildOptions{} }
-
-// Run implements Method.
-func (AvgLog) Run(p *Problem, opts Options) *Result { return runOnePart(p, AvgLog{}, opts) }
+// round protocol's vector loop (runVector, dist.go); the method table
+// (methods.go) describes each method.
 
 // investExponent is the non-linear vote growth of INVEST/POOLEDINVEST
 // (Pasternack and Roth use g = 1.2).
 const investExponent = 1.2
-
-// Invest has each source invest its trust uniformly across its claims; a
-// value's vote grows as the invested sum to the power 1.2, and the vote is
-// paid back to each investor in proportion to its contribution.
-type Invest struct{ identityScale }
-
-// Name implements Method.
-func (Invest) Name() string { return "Invest" }
-
-// Needs implements Method.
-func (Invest) Needs() BuildOptions { return BuildOptions{} }
-
-// Run implements Method.
-func (Invest) Run(p *Problem, opts Options) *Result { return runOnePart(p, Invest{}, opts) }
-
-// PooledInvest rescales each item's votes so they sum to the item's total
-// investment, which removes the need for normalisation.
-type PooledInvest struct{ identityScale }
-
-// Name implements Method.
-func (PooledInvest) Name() string { return "PooledInvest" }
-
-// Needs implements Method.
-func (PooledInvest) Needs() BuildOptions { return BuildOptions{} }
-
-// Run implements Method.
-func (PooledInvest) Run(p *Problem, opts Options) *Result {
-	return runOnePart(p, PooledInvest{}, opts)
-}
 
 // The per-item kernels of the Web-link family. The round protocol's
 // executor (dist.go) runs them on every path — Method.Run, every shard

@@ -44,17 +44,17 @@ func TestFromAuthorityVote(t *testing.T) {
 		t.Errorf("gold for X = %v/%v, want 100 (authority majority, not overall majority)", v, ok)
 	}
 	item1, _ := ds.LookupItem(1, 0)
-	if gld.Has(item1) {
+	if _, ok := gld.Get(item1); ok {
 		t.Error("item with two authority providers must not enter the gold standard")
 	}
 	// Lower threshold admits it.
 	gld2 := FromAuthorityVote(ds, snap, auths, []model.ObjectID{0, 1}, 2)
-	if !gld2.Has(item1) {
+	if _, ok := gld2.Get(item1); !ok {
 		t.Error("threshold 2 should admit item Y")
 	}
 	// Restricting the object list excludes items.
 	gld3 := FromAuthorityVote(ds, snap, auths, []model.ObjectID{1}, 2)
-	if gld3.Has(item0) {
+	if _, ok := gld3.Get(item0); ok {
 		t.Error("object X not requested but present in gold")
 	}
 }
@@ -88,7 +88,7 @@ func TestFromOwnerClaims(t *testing.T) {
 		t.Errorf("UA2 gold = %v/%v", v, ok)
 	}
 	i3, _ := ds.LookupItem(o3, dep)
-	if gld.Has(i3) {
+	if _, ok := gld.Get(i3); ok {
 		t.Error("object without an owner must not enter the gold standard")
 	}
 }

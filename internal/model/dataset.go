@@ -82,9 +82,6 @@ func (d *Dataset) LookupItem(obj ObjectID, attr AttrID) (ItemID, bool) {
 // Item returns the item record for id.
 func (d *Dataset) Item(id ItemID) Item { return d.Items[id] }
 
-// AttrOf returns the attribute record of an item.
-func (d *Dataset) AttrOf(id ItemID) Attribute { return d.Attrs[d.Items[id].Attr] }
-
 // ConsideredAttrs returns the examined attributes in ID order.
 func (d *Dataset) ConsideredAttrs() []Attribute {
 	var out []Attribute

@@ -83,38 +83,6 @@ func (s *Snapshot) Claims(yield func(int, Claim) bool) {
 // (callers must not modify it).
 func (s *Snapshot) ItemClaims(item ItemID) []Claim { return s.items[item] }
 
-// ProviderCount returns the number of sources providing the item.
-func (s *Snapshot) ProviderCount(item ItemID) int { return len(s.items[item]) }
-
-// SourceClaimCounts returns, per source, the number of claims it contributes.
-func (s *Snapshot) SourceClaimCounts(numSources int) []int {
-	counts := make([]int, numSources)
-	for _, view := range s.items {
-		for i := range view {
-			counts[view[i].Source]++
-		}
-	}
-	return counts
-}
-
-// SourceObjectCounts returns, per source, the number of distinct objects it
-// covers in this snapshot.
-func (s *Snapshot) SourceObjectCounts(d *Dataset) []int {
-	counts := make([]int, len(d.Sources))
-	seen := make(map[[2]int32]struct{}, s.numClaims)
-	for _, view := range s.items {
-		for i := range view {
-			c := &view[i]
-			key := [2]int32{int32(c.Source), int32(d.Items[c.Item].Object)}
-			if _, dup := seen[key]; !dup {
-				seen[key] = struct{}{}
-				counts[c.Source]++
-			}
-		}
-	}
-	return counts
-}
-
 // BucketedItem is the tolerance-bucketed view of one item's claims: the
 // shared claim sub-slice plus value buckets whose Members index into it.
 // Buckets are ordered by descending provider count (Buckets[0] is dominant).

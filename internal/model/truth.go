@@ -26,12 +26,6 @@ func (t *TruthTable) Get(item ItemID) (value.Value, bool) {
 	return v, ok
 }
 
-// Has reports whether the item has a recorded truth.
-func (t *TruthTable) Has(item ItemID) bool {
-	_, ok := t.vals[item]
-	return ok
-}
-
 // Len returns the number of items with recorded truths.
 func (t *TruthTable) Len() int { return len(t.vals) }
 
@@ -42,17 +36,6 @@ func (t *TruthTable) Items() []ItemID {
 		out = append(out, id)
 	}
 	return out
-}
-
-// Consistent reports whether v agrees with the recorded truth for item
-// within the dataset's tolerance for the item's attribute. Items without a
-// recorded truth report false.
-func (t *TruthTable) Consistent(d *Dataset, item ItemID, v value.Value) bool {
-	truth, ok := t.vals[item]
-	if !ok {
-		return false
-	}
-	return value.Equal(truth, v, d.Tolerance(d.Items[item].Attr))
 }
 
 // SourceAccuracy computes the accuracy of each source on one snapshot with

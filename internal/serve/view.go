@@ -159,9 +159,10 @@ type EngineOptions struct {
 	// trust drifts past it. 0 keeps every advance bit-identical to a full
 	// Fuse.
 	TrustTolerance float64
-	// Planner, when set, plans each advance's execution path from the
-	// delta's measured features (see fusion.Planner); its arena budget
-	// picks the layout when Shards is unset. The decision lands in every
+	// Planner plans each advance's execution path from the delta's
+	// measured features (see fusion.Planner; nil plans as the zero
+	// Planner, auto mode); its arena budget picks the layout when Shards
+	// is unset. The decision lands in every
 	// advance's IncrementalStats and is surfaced by /v1/stats.
 	Planner *fusion.Planner
 }

@@ -102,20 +102,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// RMSE returns sqrt(1/n sum (a_i - b_i)^2), the paper's trustworthiness
-// deviation (Eq. 4). The slices must have equal length.
-func RMSE(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(a)))
-}
-
 // Min returns the smallest element of xs, or 0 for an empty slice.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -160,25 +146,6 @@ func Histogram(xs []float64, bounds []float64) []int {
 		counts[i]++
 	}
 	return counts
-}
-
-// FractionAbove returns, for each threshold, the fraction of xs that is
-// strictly greater than the threshold — the form of the paper's redundancy
-// CDF plots (Figs. 2 and 3).
-func FractionAbove(xs []float64, thresholds []float64) []float64 {
-	out := make([]float64, len(thresholds))
-	if len(xs) == 0 {
-		return out
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	for i, t := range thresholds {
-		// Index of the first element > t.
-		idx := sort.Search(len(sorted), func(j int) bool { return sorted[j] > t })
-		out[i] = float64(len(sorted)-idx) / float64(len(sorted))
-	}
-	return out
 }
 
 // FractionAtLeast returns, for each threshold, the fraction of xs >= t.

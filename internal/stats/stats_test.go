@@ -101,18 +101,6 @@ func TestMeanStdDev(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	if got := RMSE([]float64{1, 2}, []float64{1, 2}); got != 0 {
-		t.Errorf("identical RMSE = %v", got)
-	}
-	if got := RMSE([]float64{0, 0}, []float64{3, 4}); got != math.Sqrt(12.5) {
-		t.Errorf("RMSE = %v", got)
-	}
-	if got := RMSE([]float64{1}, []float64{1, 2}); got != 0 {
-		t.Errorf("mismatched lengths should give 0, got %v", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 0}
 	if Min(xs) != -1 || Max(xs) != 7 {
@@ -153,20 +141,6 @@ func TestHistogramTotal(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFractionAbove(t *testing.T) {
-	xs := []float64{0.1, 0.5, 0.9}
-	got := FractionAbove(xs, []float64{0, 0.5, 1})
-	want := []float64{1, 1.0 / 3, 0}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("FractionAbove[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if out := FractionAbove(nil, []float64{1}); out[0] != 0 {
-		t.Error("empty input should give zeros")
 	}
 }
 

@@ -72,8 +72,16 @@ func (o FuseOptions) Fingerprint(method string) string {
 		}
 		fmt.Fprint(h, "|")
 	}
-	if o.TrustTolerance > 0 && o.Planner != nil {
-		fmt.Fprintf(h, ";planner=%s:%g:%s", o.Planner.Mode, o.Planner.WarmChurnCeiling, o.Planner.ForcePath)
+	if o.TrustTolerance > 0 {
+		// A nil planner and an empty mode plan as PlannerAuto.
+		var pl Planner
+		if o.Planner != nil {
+			pl = *o.Planner
+		}
+		if pl.Mode == "" {
+			pl.Mode = PlannerAuto
+		}
+		fmt.Fprintf(h, ";planner=%s:%g:%s", pl.Mode, pl.WarmChurnCeiling, pl.ForcePath)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

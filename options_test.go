@@ -255,10 +255,20 @@ func TestFingerprintStability(t *testing.T) {
 	if planned.Fingerprint("AccuPr") != fp {
 		t.Fatal("planner changed the fingerprint at zero tolerance")
 	}
+	// A nil planner and an empty mode plan as auto, so they digest alike.
 	tolPlanned := FuseOptions{Sources: []SourceID{0, 1, 2}, TrustTolerance: 0.1,
 		Planner: &Planner{Mode: PlannerAuto}}
-	if tolPlanned.Fingerprint("AccuPr") == diffTol.Fingerprint("AccuPr") {
-		t.Fatal("planner does not affect the fingerprint under a positive tolerance")
+	if tolPlanned.Fingerprint("AccuPr") != diffTol.Fingerprint("AccuPr") {
+		t.Fatal("a nil planner and PlannerAuto digest differently under a positive tolerance")
+	}
+	emptyMode := FuseOptions{Sources: []SourceID{0, 1, 2}, TrustTolerance: 0.1, Planner: &Planner{}}
+	if emptyMode.Fingerprint("AccuPr") != tolPlanned.Fingerprint("AccuPr") {
+		t.Fatal("an empty planner mode and PlannerAuto digest differently under a positive tolerance")
+	}
+	tolForced := FuseOptions{Sources: []SourceID{0, 1, 2}, TrustTolerance: 0.1,
+		Planner: &Planner{Mode: PlannerForced, ForcePath: ModeFull}}
+	if tolForced.Fingerprint("AccuPr") == tolPlanned.Fingerprint("AccuPr") {
+		t.Fatal("planner mode does not affect the fingerprint under a positive tolerance")
 	}
 	tolCeiling := FuseOptions{Sources: []SourceID{0, 1, 2}, TrustTolerance: 0.1,
 		Planner: &Planner{Mode: PlannerAuto, WarmChurnCeiling: 0.4}}

@@ -230,12 +230,12 @@ type FuseOptions struct {
 	// default) keeps incremental answers bit-identical to Fuse. The warm
 	// iteration is the same at any shard count.
 	TrustTolerance float64
-	// Planner, when set, plans each incremental advance from the day's
-	// measured delta features (churn fraction, dirty-shard fan-out, arena
-	// bytes) instead of the fixed tolerance-only gating: PlannerAuto
-	// applies the churn ceiling to the warm path (warm wins at low churn,
-	// loses at the paper's 90%-churn days), PlannerForced executes
-	// exactly the named path. Its ArenaBudgetBytes also lays the world
+	// Planner plans each incremental advance from the day's measured
+	// delta features (churn fraction, dirty-shard fan-out, arena bytes):
+	// PlannerAuto (also a nil Planner) applies the churn ceiling to the
+	// warm path (warm wins at low churn, loses at the paper's 90%-churn
+	// days), PlannerForced executes exactly the named path. Its
+	// ArenaBudgetBytes also lays the world
 	// out when Shards is unset: over enough range shards, kept resident
 	// one at a time, that one shard's arena fits the budget. The decision
 	// and its features are recorded on the result (FusionResult.Plan) and
